@@ -27,7 +27,6 @@ from .objective import (
     LossBreakdown,
     SENTINEL_LOSS,
     SearchPoint,
-    default_bounds,
     l1_penalty,
     l2_penalty,
     loss,

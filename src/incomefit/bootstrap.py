@@ -11,14 +11,15 @@ fitted alone) provides the comparison against the optimal-crossover fit.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .ccdf import DEFAULT_CLASS_POINTS, IncomeSample, build_ccdf
+from .ccdf import DEFAULT_CLASS_POINTS, IncomeSample
 from .fitting import FitError, FitSettings, fit_sample
-from .model import TwoClassParams, model_log_ccdf
+from .model import TwoClassParams
 from .objective import FitContext
 
 log = logging.getLogger(__name__)
@@ -88,11 +89,8 @@ def bootstrap_pair(sample: IncomeSample, seed: int) -> tuple[IncomeSample, Incom
 
 def _class_rmsle(params: TwoClassParams, sample: IncomeSample, k: int) -> float:
     """Log error of a fitted model on a sample's own class statistic."""
-    ccdf = build_ccdf(sample, min(k, sample.n))
-    points = ccdf.class_points[:-1]
-    log_emp = np.log(ccdf.evaluate(points))
-    log_model = model_log_ccdf(params, points)
-    r = log_emp - log_model
+    r, _ = FitContext(sample, k).log_residuals(params.temperature, params.crossover,
+                                               math.log(params.lam), params.alpha)
     return float(np.sqrt(np.mean(r * r)))
 
 
@@ -159,29 +157,22 @@ def fixed_proportion_fit(sample: IncomeSample, lam0: float = 0.05,
     context = FitContext(sample, k)
     temperature = sample.mean
     m_c = context.ccdf.inverse(lam0)
-    split = int(np.searchsorted(context.fit_points, m_c, side="left"))
-    tail_points = context.fit_points[split:]
-    if tail_points.size < 10:
-        raise ValueError(f"only {tail_points.size} class points above the crossover; "
+    n_tail = context.fit_points.size - int(np.searchsorted(context.fit_points, m_c))
+    if n_tail < 10:
+        raise ValueError(f"only {n_tail} class points above the crossover; "
                          "need at least 10 to fit the tail index")
-    log_tail = np.log(tail_points) - np.log(m_c)
-    log_emp_tail = context.fit_log_fraction[split:]
     log_lam0 = np.log(lam0)
 
     def tail_error(alpha: float) -> float:
-        r = log_emp_tail - (log_lam0 - alpha * log_tail)
-        return float(np.mean(r * r))
+        r, split = context.log_residuals(temperature, m_c, log_lam0, alpha)
+        return float(np.mean(r[split:] ** 2))
 
     res = minimize_scalar(tail_error, bounds=alpha_bounds, method="bounded",
                           options={"xatol": 1e-4})
     alpha = float(res.x)
 
     def two_part_rmsle(ctx: FitContext) -> float:
-        s = int(np.searchsorted(ctx.fit_points, m_c, side="left"))
-        log_model = np.empty_like(ctx.fit_points)
-        log_model[:s] = -ctx.fit_points[:s] / temperature
-        log_model[s:] = log_lam0 - alpha * (np.log(ctx.fit_points[s:]) - np.log(m_c))
-        r = ctx.fit_log_fraction - log_model
+        r, _ = ctx.log_residuals(temperature, m_c, log_lam0, alpha)
         return float(np.sqrt(np.mean(r * r)))
 
     train_rmsle = two_part_rmsle(context)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .fitting import FitSettings
 from .model import TwoClassParams
@@ -17,13 +18,7 @@ from .pipeline import (
     cmd_synth,
 )
 
-_SETTING_FLAGS = {
-    "k": int, "n_candidates": int, "max_iters": int, "k_informants": int,
-    "c1": float, "c2": float, "w_start": float, "w_end": float,
-    "refine_every": int, "refine_max_steps": int, "p_max": float,
-    "alpha_min": float, "alpha_max": float,
-    "t_lower_scale": float, "t_upper_scale": float,
-}
+_SETTING_FLAGS = {f.name: type(f.default) for f in fields(FitSettings)}
 
 
 def _add_settings_args(parser: argparse.ArgumentParser):

@@ -8,14 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ccdf import DEFAULT_CLASS_POINTS, IncomeSample, empirical_gini
-from .model import TwoClassParams, model_log_ccdf, theoretical_gini
-from .objective import (
-    FitContext,
-    LossBreakdown,
-    SENTINEL_LOSS,
-    SearchPoint,
-    default_bounds,
-)
+from .model import TwoClassParams, theoretical_gini
+from .objective import FitContext, LossBreakdown, SENTINEL_LOSS, SearchPoint
 from .swarm import OptimizeResult, SwarmConfig, optimize
 
 
@@ -26,11 +20,6 @@ class FitSettings:
     k: int = DEFAULT_CLASS_POINTS
     n_candidates: int = 40
     max_iters: int = 200
-    k_informants: int = 3
-    c1: float = 1.7
-    c2: float = 1.7
-    w_start: float = 0.7
-    w_end: float = 0.4
     refine_every: int = 10
     refine_max_steps: int = 100
     p_max: float = 0.2
@@ -40,13 +29,17 @@ class FitSettings:
     t_upper_scale: float = 2.0
 
     def swarm_config(self, mean_income: float, seed: int) -> SwarmConfig:
-        bounds = default_bounds(mean_income, p_max=self.p_max,
-                                alpha_bounds=(self.alpha_min, self.alpha_max),
-                                temperature_span=(self.t_lower_scale, self.t_upper_scale))
+        """Swarm over the search box of this fit.
+
+        p in (0, p_max], its open lower edge a small positive bound;
+        alpha in [alpha_min, alpha_max]; T in [t_lower_scale,
+        t_upper_scale] times the sample mean.
+        """
+        bounds = [[1e-6, self.p_max],
+                  [self.alpha_min, self.alpha_max],
+                  [self.t_lower_scale * mean_income, self.t_upper_scale * mean_income]]
         return SwarmConfig(bounds=bounds, n_candidates=self.n_candidates,
-                           max_iters=self.max_iters, k_informants=self.k_informants,
-                           c1=self.c1, c2=self.c2, w_start=self.w_start,
-                           w_end=self.w_end, seed=seed,
+                           max_iters=self.max_iters, seed=seed,
                            refine_every=self.refine_every,
                            refine_max_steps=self.refine_max_steps)
 
@@ -78,17 +71,17 @@ class FitError(ValueError):
     """Fit could not produce a non-degenerate model for the sample."""
 
 
-def region_rmsle(context: FitContext, params: TwoClassParams,
-                 crossover: float) -> tuple[float, int, float, int]:
-    """Log-error split of the loss grid at the crossover.
+def region_rmsle(context: FitContext,
+                 params: TwoClassParams) -> tuple[float, int, float, int]:
+    """Log-error split of the loss grid at the model's crossover.
 
     Points at or above the crossover count toward the Pareto side; each
     side reports the root mean square over its own points, so the two
     regions recombine to the total when weighted by point counts.
     """
-    log_model = model_log_ccdf(params, context.fit_points)
-    sq = (context.fit_log_fraction - log_model) ** 2
-    split = int(np.searchsorted(context.fit_points, crossover, side="left"))
+    residuals, split = context.log_residuals(params.temperature, params.crossover,
+                                             math.log(params.lam), params.alpha)
+    sq = residuals ** 2
     n_exp, n_par = split, sq.size - split
     rmsle_exp = float(np.sqrt(np.mean(sq[:split]))) if n_exp else 0.0
     rmsle_par = float(np.sqrt(np.mean(sq[split:]))) if n_par else 0.0
@@ -112,8 +105,7 @@ def fit_sample(sample: IncomeSample, settings: FitSettings = FitSettings(),
     point = SearchPoint.from_array(result.x)
     params = breakdown.params
     assert breakdown.crossover is not None
-    rmsle_exp, n_exp, rmsle_par, n_par = region_rmsle(context, params,
-                                                      breakdown.crossover)
+    rmsle_exp, n_exp, rmsle_par, n_par = region_rmsle(context, params)
     return FitResult(
         point=point,
         params=params,

@@ -59,47 +59,42 @@ def crossover_income(params: TwoClassParams) -> float:
     return params.crossover
 
 
-def model_ccdf(params: TwoClassParams, m):
-    """CCDF at income ``m`` (scalar or array); continuous at the crossover."""
+def _piecewise(params: TwoClassParams, m, body, tail):
+    """``body(m)`` below the crossover, ``tail(max(m, m_c), m_c)`` from it on.
+
+    Scalar in, float out; array in, array out.
+    """
     m_arr = np.asarray(m, dtype=float)
     if np.any(m_arr < 0):
         raise ValueError("income must be non-negative")
     m_c = params.crossover
-    body = np.exp(-m_arr / params.temperature)
-    tail = params.lam * np.power(np.maximum(m_arr, m_c) / m_c, -params.alpha)
-    out = np.where(m_arr < m_c, body, tail)
+    out = np.where(m_arr < m_c, body(m_arr), tail(np.maximum(m_arr, m_c), m_c))
     if np.isscalar(m) or m_arr.ndim == 0:
         return float(out)
     return out
+
+
+def model_ccdf(params: TwoClassParams, m):
+    """CCDF at income ``m`` (scalar or array); continuous at the crossover."""
+    return _piecewise(params, m,
+                      lambda x: np.exp(-x / params.temperature),
+                      lambda x, m_c: params.lam * np.power(x / m_c, -params.alpha))
 
 
 def model_log_ccdf(params: TwoClassParams, m):
     """log CCDF, computed directly so deep tails never underflow."""
-    m_arr = np.asarray(m, dtype=float)
-    if np.any(m_arr < 0):
-        raise ValueError("income must be non-negative")
-    m_c = params.crossover
-    body = -m_arr / params.temperature
-    tail = math.log(params.lam) - params.alpha * (np.log(np.maximum(m_arr, m_c)) - math.log(m_c))
-    out = np.where(m_arr < m_c, body, tail)
-    if np.isscalar(m) or m_arr.ndim == 0:
-        return float(out)
-    return out
+    return _piecewise(params, m,
+                      lambda x: -x / params.temperature,
+                      lambda x, m_c: math.log(params.lam)
+                      - params.alpha * (np.log(x) - math.log(m_c)))
 
 
 def model_pdf(params: TwoClassParams, m):
     """Density at income ``m``; integrates to 1 over [0, inf)."""
-    m_arr = np.asarray(m, dtype=float)
-    if np.any(m_arr < 0):
-        raise ValueError("income must be non-negative")
-    m_c = params.crossover
     t = params.temperature
-    body = np.exp(-m_arr / t) / t
-    tail = params.tail_scale * np.power(np.maximum(m_arr, m_c), -params.alpha - 1.0)
-    out = np.where(m_arr < m_c, body, tail)
-    if np.isscalar(m) or m_arr.ndim == 0:
-        return float(out)
-    return out
+    return _piecewise(params, m,
+                      lambda x: np.exp(-x / t) / t,
+                      lambda x, m_c: params.tail_scale * np.power(x, -params.alpha - 1.0))
 
 
 def exponential_regime_mean(temperature: float, crossover: float) -> float:

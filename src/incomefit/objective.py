@@ -40,9 +40,6 @@ class SearchPoint:
     alpha: float
     temperature: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p, self.alpha, self.temperature], dtype=float)
-
     @classmethod
     def from_array(cls, arr) -> "SearchPoint":
         return cls(float(arr[0]), float(arr[1]), float(arr[2]))
@@ -70,20 +67,6 @@ class LossBreakdown:
         return cls(SENTINEL_LOSS, 0.0, 0.0, SENTINEL_LOSS, None, None, True)
 
 
-def default_bounds(mean_income: float, p_max: float = 0.2,
-                   alpha_bounds: tuple[float, float] = (1.0, 3.0),
-                   temperature_span: tuple[float, float] = (0.5, 2.0)) -> np.ndarray:
-    """Search cuboid: p in (0, p_max], alpha in [1, 3], T in [mean/2, 2*mean].
-
-    The open lower edge of p is approximated by a small positive bound.
-    """
-    return np.array([
-        [1e-6, p_max],
-        [alpha_bounds[0], alpha_bounds[1]],
-        [temperature_span[0] * mean_income, temperature_span[1] * mean_income],
-    ])
-
-
 class FitContext:
     """Precomputed empirical quantities shared by all loss evaluations.
 
@@ -106,6 +89,22 @@ class FitContext:
         self.fit_log_fraction = np.log(fractions)
         self.mean = sample.mean
 
+    def log_residuals(self, temperature: float, crossover: float, log_lam: float,
+                      alpha: float) -> tuple[np.ndarray, int]:
+        """Empirical minus model log CCDF at the fit points, and the split index.
+
+        Points below ``crossover`` take the exponential body -m/T, the
+        rest the Pareto tail log_lam - alpha*log(m/crossover); the split
+        index is the first tail point. ``log_lam = -crossover/T`` gives
+        the continuous model, any other value a two-part model with a
+        jump at the crossover.
+        """
+        split = int(np.searchsorted(self.fit_points, crossover, side="left"))
+        log_model = np.empty_like(self.fit_points)
+        log_model[:split] = -self.fit_points[:split] / temperature
+        log_model[split:] = log_lam - alpha * (self.fit_log_income[split:] - math.log(crossover))
+        return self.fit_log_fraction - log_model, split
+
     def loss_at(self, p: float, alpha: float, temperature: float) -> LossBreakdown:
         """Evaluate the full loss; sentinel on degenerate configurations."""
         if not (0.0 < p <= 1.0) or temperature <= 0.0 or alpha <= 1.0:
@@ -118,14 +117,8 @@ class FitContext:
         z = m_c / temperature
         if z > _EXP_OVERFLOW:
             return LossBreakdown.sentinel()
-        log_lam = -z
-        lam = math.exp(log_lam)
-
-        split = int(np.searchsorted(self.fit_points, m_c, side="left"))
-        log_model = np.empty_like(self.fit_points)
-        log_model[:split] = -self.fit_points[:split] / temperature
-        log_model[split:] = log_lam - alpha * (self.fit_log_income[split:] - math.log(m_c))
-        residuals = self.fit_log_fraction - log_model
+        lam = math.exp(-z)
+        residuals, _ = self.log_residuals(temperature, m_c, -z, alpha)
         rmsle_val = float(np.sqrt(np.mean(residuals * residuals)))
 
         count, total = self.sample.count_and_sum_below(m_c)

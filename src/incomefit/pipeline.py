@@ -8,7 +8,7 @@ configuration.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -102,8 +102,9 @@ def ingest(spec: DatasetSpec) -> IngestResult:
 
 
 def _fmt(value) -> str:
+    # float() first: numpy 2 scalars are float subclasses whose repr is np.float64(...)
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -126,12 +127,7 @@ def _write_csv(path: Path, header: list[str], rows):
 
 
 def _settings_items(settings: FitSettings, seed: int) -> list[tuple[str, object]]:
-    items = [(name, getattr(settings, name)) for name in (
-        "k", "n_candidates", "max_iters", "k_informants", "c1", "c2",
-        "w_start", "w_end", "refine_every", "refine_max_steps", "p_max",
-        "alpha_min", "alpha_max", "t_lower_scale", "t_upper_scale")]
-    items.append(("seed", seed))
-    return items
+    return [(f.name, getattr(settings, f.name)) for f in fields(settings)] + [("seed", seed)]
 
 
 def _dataset_items(spec: DatasetSpec, result: IngestResult) -> list[tuple[str, object]]:
@@ -315,17 +311,26 @@ def cmd_baseline(spec: DatasetSpec, lam0: float, out_dir: str | Path,
 
 
 def read_deflators(path: str | Path) -> dict[int, float]:
-    """Two-column CSV (year, index value) to a mapping."""
+    """Two-column CSV (year, index value) to a mapping; each year once."""
     deflators: dict[int, float] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"deflator file {path} is empty")
         if len(header) < 2:
             raise ValueError(f"deflator file {path} needs two columns (year, index)")
         for row in reader:
             if not row or not row[0].strip():
                 continue
-            deflators[int(row[0])] = float(row[1])
+            try:
+                year, index = int(row[0]), float(row[1])
+            except (IndexError, ValueError):
+                raise ValueError(f"deflator file {path}: row {row} needs an integer "
+                                 "year and a numeric index") from None
+            if year in deflators:
+                raise ValueError(f"deflator file {path}: duplicate year {year}")
+            deflators[year] = index
     return deflators
 
 
@@ -334,6 +339,8 @@ def cmd_series(specs_by_year: dict[int, DatasetSpec], deflator_path: str | Path,
                settings: FitSettings = FitSettings(),
                seed: int = 0) -> IndicatorSeries:
     """Per-year fits, deflation, correlations and regression outputs."""
+    if len(specs_by_year) < 3:
+        raise ValueError(f"need at least 3 years for correlations, got {len(specs_by_year)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     deflators = read_deflators(deflator_path)

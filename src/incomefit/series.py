@@ -9,6 +9,7 @@ indicator series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -80,6 +81,10 @@ def build_series(samples_by_year: Mapping[int, IncomeSample],
     missing = [y for y in years + [reference_year] if y not in deflators]
     if missing:
         raise ValueError(f"missing deflator for year(s): {sorted(set(missing))}")
+    bad = [y for y in sorted(set(years + [reference_year]))
+           if not 0.0 < float(deflators[y]) < math.inf]
+    if bad:
+        raise ValueError(f"deflator index must be positive and finite for year(s): {bad}")
     ref_index = float(deflators[reference_year])
     records = []
     for i, year in enumerate(years):

@@ -21,16 +21,16 @@ import numpy as np
 from scipy.optimize import minimize
 
 
+K_INFORMANTS = 3                        # random informant sets each candidate joins
+C1 = C2 = 1.7                           # pulls toward personal and informant bests
+W_START, W_END = 0.7, 0.4               # inertia at the first and last iteration
+
+
 @dataclass(eq=False)
 class SwarmConfig:
     bounds: np.ndarray                  # (d, 2) [lo, hi] per dimension
     n_candidates: int = 40
     max_iters: int = 200
-    k_informants: int = 3
-    c1: float = 1.7
-    c2: float = 1.7
-    w_start: float = 0.7
-    w_end: float = 0.4
     seed: int = 0
     refine_every: int = 10              # 0 disables periodic refinement
     refine_max_steps: int = 100
@@ -43,8 +43,6 @@ class SwarmConfig:
             raise ValueError("each bound must satisfy lo < hi")
         if self.n_candidates < 2:
             raise ValueError("need at least 2 candidates")
-        if not 0.0 < self.w_end <= self.w_start < 1.0:
-            raise ValueError("inertia schedule must satisfy 0 < w_end <= w_start < 1")
         if self.max_iters < 1:
             raise ValueError("need at least 1 iteration")
 
@@ -90,7 +88,7 @@ def initialize(config: SwarmConfig, objective) -> SwarmState:
     positions = lo + (hi - lo) * rng.random((n, d))
     second = lo + (hi - lo) * rng.random((n, d))
     velocities = (second - positions) / 2.0
-    informants = _draw_informants(rng, n, config.k_informants)
+    informants = _draw_informants(rng, n, K_INFORMANTS)
     values = np.array([objective(p) for p in positions], dtype=float)
     best_idx = int(np.argmin(values))
     return SwarmState(
@@ -114,15 +112,15 @@ def step(state: SwarmState, config: SwarmConfig, objective) -> SwarmState:
         frac = min(state.t, config.max_iters - 1) / (config.max_iters - 1)
     else:
         frac = 0.0
-    w = config.w_start + (config.w_end - config.w_start) * frac
+    w = W_START + (W_END - W_START) * frac
 
     nbest = _neighborhood_best(state.informants, state.pbest_positions,
                                state.pbest_values)
     lam1 = state.rng.random((n, d))
     lam2 = state.rng.random((n, d))
     state.velocities = (w * state.velocities
-                        + config.c1 * lam1 * (state.pbest_positions - state.positions)
-                        + config.c2 * lam2 * (nbest - state.positions))
+                        + C1 * lam1 * (state.pbest_positions - state.positions)
+                        + C2 * lam2 * (nbest - state.positions))
     state.positions = state.positions + state.velocities
     out = (state.positions < lo) | (state.positions > hi)
     state.positions = np.clip(state.positions, lo, hi)
@@ -139,7 +137,7 @@ def step(state: SwarmState, config: SwarmConfig, objective) -> SwarmState:
         state.best_value = float(state.pbest_values[best_idx])
         state.best_x = state.pbest_positions[best_idx].copy()
     else:
-        state.informants = _draw_informants(state.rng, n, config.k_informants)
+        state.informants = _draw_informants(state.rng, n, K_INFORMANTS)
         state.informant_redraws += 1
     state.last_step_improved = bool(improved)
     state.t += 1
@@ -195,7 +193,6 @@ class OptimizeResult:
     value: float
     trace: list[float]                  # best value after init, each iter, final refine
     trace_points: list[np.ndarray]
-    iterations: int
     informant_redraws: int
 
 
@@ -222,4 +219,4 @@ def optimize(config: SwarmConfig, objective) -> OptimizeResult:
     trace.append(best_value)
     trace_points.append(best_x.copy())
     return OptimizeResult(best_x, best_value, trace, trace_points,
-                          config.max_iters, state.informant_redraws)
+                          state.informant_redraws)

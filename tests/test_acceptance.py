@@ -164,6 +164,7 @@ def test_criterion_07_baseline_ordering():
     assert wins >= 19
 
 
+@pytest.mark.slow
 @criterion(8, "bootstrap: distinct fraction, CI coverage, out-of-bag error")
 def test_criterion_08_bootstrap_machinery():
     # distinct fraction of with-replacement draws

@@ -8,12 +8,15 @@ from incomefit import (
     IncomeSample,
     TwoClassParams,
     bootstrap_pair,
+    build_ccdf,
     fit_sample,
     fixed_proportion_fit,
+    model_ccdf,
+    rmsle,
     run_validation,
     sample_incomes,
 )
-from incomefit.bootstrap import INDICATORS
+from incomefit.bootstrap import INDICATORS, _class_rmsle
 
 QUICK = FitSettings(k=600, n_candidates=16, max_iters=50, refine_every=15,
                     refine_max_steps=30)
@@ -127,7 +130,42 @@ class TestRunValidation:
             run_validation(sample, 1, QUICK)
 
 
+class TestOutOfBagError:
+    @pytest.mark.parametrize("params", [TwoClassParams(0.10, 1800.0, 1.8),
+                                        TwoClassParams(0.05, 1500.0, 2.6),
+                                        TwoClassParams(0.20, 2500.0, 1.2)])
+    def test_matches_reference_oracle(self, params):
+        sample = sample_incomes(TwoClassParams(0.10, 1800.0, 1.8), 20_000, seed=12)
+        _, test = bootstrap_pair(sample, seed=3)
+        for k in (500, 2000, 50_000):
+            ccdf = build_ccdf(test, min(k, test.n))
+            pts = ccdf.class_points[:-1]
+            expected = rmsle(ccdf.evaluate(pts), model_ccdf(params, pts))
+            assert _class_rmsle(params, test, k) == pytest.approx(expected, rel=1e-9)
+
+
+def _two_part_rmsle(sample, k, base):
+    """Direct log error of the discontinuous baseline model."""
+    ccdf = build_ccdf(sample, min(k, sample.n))
+    pts = ccdf.class_points[:-1]
+    log_model = np.where(pts < base.crossover, -pts / base.temperature,
+                         np.log(base.top_fraction)
+                         - base.pareto_index * np.log(pts / base.crossover))
+    r = np.log(ccdf.evaluate(pts)) - log_model
+    return np.sqrt(np.mean(r * r))
+
+
 class TestFixedProportionBaseline:
+    @pytest.mark.parametrize("lam0", [0.02, 0.05, 0.15])
+    def test_errors_match_direct_expression(self, lam0):
+        sample = sample_incomes(TwoClassParams(0.10, 1800.0, 1.8), 20_000, seed=13)
+        train, test = bootstrap_pair(sample, seed=4)
+        base = fixed_proportion_fit(train, lam0, k=1500, test_sample=test)
+        assert base.train_rmsle == pytest.approx(_two_part_rmsle(train, 1500, base),
+                                                 rel=1e-9)
+        assert base.test_rmsle == pytest.approx(_two_part_rmsle(test, 1500, base),
+                                                rel=1e-9)
+
     def test_matches_optimal_when_assumptions_hold(self):
         # the baseline premises (5% tail, temperature = mean) pin the
         # generating tail index at 1 + ln 20; widen the index range so both

@@ -1,6 +1,9 @@
 """CSV ingestion, command outputs, determinism and the CLI surface."""
 
+import csv
 import filecmp
+import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,8 @@ from incomefit import (
     model_ccdf,
     sample_incomes,
 )
-from incomefit.cli import main
+from incomefit import series as series_module
+from incomefit.cli import build_parser, main
 
 QUICK = FitSettings(k=800, n_candidates=16, max_iters=50, refine_every=15,
                     refine_max_steps=30)
@@ -163,6 +167,26 @@ class TestCmdFit:
             assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
 
+    def test_numeric_fields_parse_as_float(self, synth_csv, tmp_path):
+        out = tmp_path / "plain"
+        cmd_fit(DatasetSpec(str(synth_csv), "income"), out, QUICK, seed=5)
+        text_fields = {"path", "income_column", "filters", "stratify_by",
+                       "crossover_clamped", "name", "branch"}
+        values = []
+        for line in (out / "report.txt").read_text().splitlines():
+            if " = " in line:
+                key, value = line.split(" = ", 1)
+                values.append((key, value))
+        for name in ("ccdf_points.csv", "model_curve.csv", "markers.csv", "trace.tsv"):
+            with open(out / name, newline="") as fh:
+                rows = list(csv.reader(fh, delimiter="\t" if name.endswith(".tsv") else ","))
+            values += [(key, value) for row in rows[1:] for key, value in zip(rows[0], row)]
+        numeric = [(key, value) for key, value in values if key not in text_fields]
+        assert len(numeric) > 1000
+        for key, value in numeric:
+            float(value)  # raises on np.float64(...) and other wrapped forms
+
+
 class TestCmdBootstrap:
     def test_summary_and_replica_table(self, synth_csv, tmp_path):
         out = tmp_path / "boot"
@@ -222,7 +246,84 @@ class TestCmdSeries:
             cmd_series(specs, tmp_path / "defl.csv", 2019, tmp_path / "o", QUICK)
 
 
+class TestSeriesInput:
+    """Bad series input exits 1 before any year is fitted."""
+
+    GOOD = ["year,index", "2001,50.0", "2002,75.0", "2003,100.0"]
+
+    @pytest.fixture()
+    def run_series(self, tmp_path, monkeypatch, capsys):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a year was fitted before the input was rejected")
+
+        monkeypatch.setattr(series_module, "fit_sample", no_fit)
+        for year in (2001, 2002, 2003):
+            cmd_synth(TwoClassParams(0.08, 1500.0, 1.6), 300, year, tmp_path / f"{year}.csv")
+
+        def run(deflator_rows, years=(2001, 2002, 2003)):
+            defl = tmp_path / "defl.csv"
+            defl.write_text("".join(row + "\n" for row in deflator_rows), encoding="utf-8")
+            code = main(["series", *(f"--year={y}={tmp_path / f'{y}.csv'}" for y in years),
+                         "--deflators", str(defl), "--reference-year", "2003",
+                         "--out-dir", str(tmp_path / "out")])
+            return code, capsys.readouterr().err
+
+        return run
+
+    def test_empty_deflator_file(self, run_series):
+        code, err = run_series([])
+        assert code == 1 and "empty" in err
+
+    def test_year_without_index(self, run_series):
+        code, err = run_series(self.GOOD[:2] + ["2002"] + self.GOOD[3:])
+        assert code == 1 and "needs an integer year and a numeric index" in err
+
+    def test_duplicate_year(self, run_series):
+        code, err = run_series(self.GOOD + ["2002,80.0"])
+        assert code == 1 and "duplicate year 2002" in err
+
+    def test_zero_index(self, run_series):
+        code, err = run_series(self.GOOD[:2] + ["2002,0"] + self.GOOD[3:])
+        assert code == 1 and "positive and finite" in err and "2002" in err
+
+    def test_negative_index(self, run_series):
+        code, err = run_series(self.GOOD[:3] + ["2003,-100.0"])
+        assert code == 1 and "positive and finite" in err and "2003" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_index(self, run_series, value):
+        code, err = run_series(self.GOOD[:1] + [f"2001,{value}"] + self.GOOD[2:])
+        assert code == 1 and "positive and finite" in err and "2001" in err
+
+    def test_fewer_than_three_years(self, run_series):
+        code, err = run_series(self.GOOD, years=(2002, 2003))
+        assert code == 1 and "at least 3 years" in err
+
+
 class TestCli:
+    SETTINGS = {"k", "n_candidates", "max_iters", "refine_every", "refine_max_steps",
+                "p_max", "alpha_min", "alpha_max", "t_lower_scale", "t_upper_scale"}
+
+    def test_settings_surface(self, synth_csv, tmp_path):
+        parsed = vars(build_parser().parse_args(["fit", "data.csv"]))
+        flags = set(parsed) - {"command", "data", "income_col", "filter", "out_dir",
+                               "config", "seed"}
+        out = tmp_path / "surface"
+        cmd_fit(DatasetSpec(str(synth_csv), "income"), out, QUICK, seed=1)
+        report = (out / "report.txt").read_text().split("[config]\n", 1)[1]
+        config_keys = {line.split(" = ")[0] for line in report.splitlines() if " = " in line}
+        assert flags == self.SETTINGS
+        assert config_keys - {"seed"} == self.SETTINGS
+        assert {f.name for f in fields(FitSettings)} == self.SETTINGS
+
+    def test_unknown_config_key(self, synth_csv, tmp_path, capsys):
+        cfg = tmp_path / "swarm.json"
+        cfg.write_text(json.dumps({"k": 400, "c1": 1.5}))
+        code = main(["fit", str(synth_csv), "--out-dir", str(tmp_path / "o"),
+                     "--config", str(cfg)])
+        assert code == 1
+        assert "unknown config key: c1" in capsys.readouterr().err
+
     def test_synth_then_fit_exit_codes(self, tmp_path, capsys):
         data = tmp_path / "cli.csv"
         code = main(["synth", "--top-fraction", "0.1", "--temperature", "1500",
