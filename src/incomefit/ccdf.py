@@ -55,10 +55,12 @@ class IncomeSample:
     def ascending(self) -> np.ndarray:
         return self._ascending
 
-    def count_and_sum_below(self, cutoff: float) -> tuple[int, float]:
-        """Number and sum of incomes strictly below ``cutoff``."""
-        idx = int(np.searchsorted(self._ascending, cutoff, side="left"))
-        return idx, float(self._prefix[idx])
+    def count_and_sum_below(self, cutoff):
+        """Number and sum of incomes strictly below ``cutoff`` (scalar or array)."""
+        idx = np.searchsorted(self._ascending, cutoff, side="left")
+        if np.ndim(idx) == 0:
+            return int(idx), float(self._prefix[idx])
+        return idx, self._prefix[idx]
 
     def __len__(self) -> int:
         return self.n

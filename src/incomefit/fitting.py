@@ -98,7 +98,7 @@ def fit_sample(sample: IncomeSample, settings: FitSettings = FitSettings(),
     if context is None:
         context = FitContext(sample, settings.k)
     config = settings.swarm_config(sample.mean, seed)
-    result: OptimizeResult = optimize(config, context.objective)
+    result: OptimizeResult = optimize(config, context.objective_batch)
     breakdown = context.loss_at(*result.x)
     if breakdown.degenerate or breakdown.params is None:
         raise FitError("optimizer found no non-degenerate model for this sample")

@@ -70,10 +70,15 @@ class LossBreakdown:
 class FitContext:
     """Precomputed empirical quantities shared by all loss evaluations.
 
-    Holding the class statistic, its log CCDF values and prefix sums up
-    front keeps each evaluation O(k) with no transcendentals beyond a
-    handful, which matters when a swarm calls the loss thousands of
-    times. Immutable after construction and safe to share.
+    Holding the class statistic, its log CCDF values and running sums
+    up front keeps evaluations cheap, which matters when a swarm calls
+    the loss thousands of times. Immutable after construction and safe
+    to share.
+
+    ``loss_at`` evaluates one point exactly from the residual array and
+    backs every reported number; ``objective_batch`` evaluates a whole
+    population from the running sums, in time independent of k, and
+    drives the optimizer.
     """
 
     def __init__(self, sample: IncomeSample, k: int = DEFAULT_CLASS_POINTS):
@@ -82,12 +87,30 @@ class FitContext:
         self.sample = sample
         self.k = min(int(k), sample.n)
         self.ccdf = build_ccdf(sample, self.k)
+        # a single CCDF knot leaves no crossover to interpolate
+        self.single_knot = self.ccdf.incomes.size < 2
         points = self.ccdf.class_points
         self.fit_points = points[:-1].copy()  # top class point excluded
         self.fit_log_income = np.log(self.fit_points)
         fractions = self.ccdf.evaluate(self.fit_points)
         self.fit_log_fraction = np.log(fractions)
         self.mean = sample.mean
+
+        # Running sums for objective_batch: column s sums the body points
+        # [0, s) in rows 0-2 and the tail points [s, end) in rows 3-8.
+        # Body residuals y + x/T expand into sums of y^2, xy and x^2. Tail
+        # residuals are expanded about the means of y and u = log x, as
+        # w = y - mean(y) and v = u - mean(u), which keeps the
+        # cancellation near an optimum small.
+        x, y = self.fit_points, self.fit_log_fraction
+        self._y_mean = float(y.mean())
+        self._u_mean = float(self.fit_log_income.mean())
+        w = y - self._y_mean
+        v = self.fit_log_income - self._u_mean
+        tail_terms = np.array([np.ones_like(x), w, v, w * v, v * v, w * w])
+        self._sums = np.zeros((9, x.size + 1))
+        self._sums[:3, 1:] = np.cumsum([y * y, x * y, x * x], axis=1)
+        self._sums[3:, :-1] = np.cumsum(tail_terms[:, ::-1], axis=1)[:, ::-1]
 
     def log_residuals(self, temperature: float, crossover: float, log_lam: float,
                       alpha: float) -> tuple[np.ndarray, int]:
@@ -107,9 +130,7 @@ class FitContext:
 
     def loss_at(self, p: float, alpha: float, temperature: float) -> LossBreakdown:
         """Evaluate the full loss; sentinel on degenerate configurations."""
-        if not (0.0 < p <= 1.0) or temperature <= 0.0 or alpha <= 1.0:
-            return LossBreakdown.sentinel()
-        if self.ccdf.incomes.size < 2:
+        if not (0.0 < p <= 1.0) or temperature <= 0.0 or alpha <= 1.0 or self.single_knot:
             return LossBreakdown.sentinel()
         m_c = self.ccdf.inverse(p)
         if m_c <= 0.0:
@@ -134,8 +155,42 @@ class FitContext:
                              rmsle_val + mean_pen + frac_pen, params, m_c)
 
     def objective(self, x: np.ndarray) -> float:
-        """Scalar loss for optimizer use."""
+        """Scalar loss at one search point, ``loss_at(*x).total``."""
         return self.loss_at(x[0], x[1], x[2]).total
+
+    def objective_batch(self, X) -> np.ndarray:
+        """Loss totals of an (n, 3) array of search points, one per row.
+
+        Agrees with ``loss_at(...).total`` to rounding and returns the
+        sentinel under the same rules; a NaN coordinate also gives the
+        sentinel.
+        """
+        X = np.asarray(X, dtype=float)
+        p, alpha, temperature = X.T
+        if self.single_knot:
+            return np.full(len(X), SENTINEL_LOSS)
+        # rows that fail a check compute garbage under errstate and are masked at the end
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # the interpolation of EmpiricalCcdf.inverse, without its range check
+            m_c = np.interp(p, self.ccdf._fr_asc, self.ccdf._inc_by_fr)
+            z = m_c / temperature
+            split = np.searchsorted(self.fit_points, m_c, side="left")
+            yy, xy, xx, n_tail, w, v, wv, vv, ww = self._sums.take(split, axis=1)
+            inv_t = 1.0 / temperature
+            sq_body = yy + inv_t * (2.0 * xy + inv_t * xx)
+            # tail residual y + z + alpha*(u - log m_c) = w + alpha*v + a
+            a = self._y_mean + z - alpha * (np.log(m_c) - self._u_mean)
+            sq_tail = (ww + alpha * (2.0 * wv + alpha * vv)
+                       + a * (2.0 * (w + alpha * v) + n_tail * a))
+            rmsle_val = np.sqrt(np.maximum(sq_body + sq_tail, 0.0) / self.fit_points.size)
+
+            count, total = self.sample.count_and_sum_below(m_c)
+            theo_mean = temperature - m_c / np.expm1(z)
+            mean_pen = np.abs(theo_mean / (total / count) - 1.0)
+            frac_pen = np.abs(np.exp(-z) / p - 1.0)
+        ok = ((p > 0.0) & (p <= 1.0) & (temperature > 0.0) & (alpha > 1.0)
+              & (m_c > 0.0) & (z <= _EXP_OVERFLOW) & (count > 0))
+        return np.where(ok, rmsle_val + mean_pen + frac_pen, SENTINEL_LOSS)
 
 
 def resolve_params(x: SearchPoint, ccdf: EmpiricalCcdf) -> tuple[TwoClassParams, float]:

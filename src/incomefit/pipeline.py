@@ -8,6 +8,7 @@ configuration.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -23,7 +24,13 @@ from .bootstrap import (
 from .fitting import FitResult, FitSettings, fit_sample
 from .model import TwoClassParams, draw_incomes, model_ccdf
 from .objective import FitContext
-from .series import IndicatorSeries, affine_regression, build_series, pearson
+from .series import (
+    IndicatorSeries,
+    affine_regression,
+    build_series,
+    check_deflators,
+    pearson,
+)
 
 CURVE_POINTS_PER_BRANCH = 500
 
@@ -51,11 +58,13 @@ def ingest(spec: DatasetSpec) -> IngestResult:
     """Read, clean and optionally stratify an income CSV.
 
     Rows failing the equality filters are set aside; among the selected
-    rows, missing, unparseable and non-positive incomes are dropped with
+    rows, missing, unparseable, non-finite (``inf``, ``nan``, overflowing
+    literals such as ``1e400``) and non-positive incomes are dropped with
     per-reason counts. Retained incomes keep their source values
     exactly.
     """
-    dropped = {"filtered": 0, "missing": 0, "unparseable": 0, "nonpositive": 0}
+    dropped = {"filtered": 0, "missing": 0, "unparseable": 0, "nonfinite": 0,
+               "nonpositive": 0}
     incomes: list[float] = []
     labels: list[str] = []
     with open(spec.path, newline="", encoding="utf-8") as fh:
@@ -80,7 +89,10 @@ def ingest(spec: DatasetSpec) -> IngestResult:
             except ValueError:
                 dropped["unparseable"] += 1
                 continue
-            if not value > 0.0 or not np.isfinite(value):
+            if not math.isfinite(value):
+                dropped["nonfinite"] += 1
+                continue
+            if not value > 0.0:
                 dropped["nonpositive"] += 1
                 continue
             incomes.append(value)
@@ -142,6 +154,7 @@ def _dataset_items(spec: DatasetSpec, result: IngestResult) -> list[tuple[str, o
         ("dropped_filtered", result.dropped["filtered"]),
         ("dropped_missing", result.dropped["missing"]),
         ("dropped_unparseable", result.dropped["unparseable"]),
+        ("dropped_nonfinite", result.dropped["nonfinite"]),
         ("dropped_nonpositive", result.dropped["nonpositive"]),
     ]
 
@@ -344,6 +357,7 @@ def cmd_series(specs_by_year: dict[int, DatasetSpec], deflator_path: str | Path,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     deflators = read_deflators(deflator_path)
+    check_deflators(deflators, specs_by_year, reference_year)
     samples = {year: ingest(spec).sample for year, spec in sorted(specs_by_year.items())}
     series = build_series(samples, deflators, reference_year, settings, seed=seed)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 from scipy import stats as sstats
@@ -66,6 +66,18 @@ class AffineFit:
     n: int
 
 
+def check_deflators(deflators: Mapping[int, float], years: Iterable[int],
+                    reference_year: int) -> None:
+    """Raise unless each year and the reference year has a positive, finite index."""
+    needed = sorted(set(years) | {reference_year})
+    missing = [y for y in needed if y not in deflators]
+    if missing:
+        raise ValueError(f"missing deflator for year(s): {missing}")
+    bad = [y for y in needed if not 0.0 < float(deflators[y]) < math.inf]
+    if bad:
+        raise ValueError(f"deflator index must be positive and finite for year(s): {bad}")
+
+
 def build_series(samples_by_year: Mapping[int, IncomeSample],
                  deflators: Mapping[int, float], reference_year: int,
                  settings: FitSettings = FitSettings(),
@@ -78,13 +90,7 @@ def build_series(samples_by_year: Mapping[int, IncomeSample],
     deterministic per-year seed offset.
     """
     years = sorted(samples_by_year)
-    missing = [y for y in years + [reference_year] if y not in deflators]
-    if missing:
-        raise ValueError(f"missing deflator for year(s): {sorted(set(missing))}")
-    bad = [y for y in sorted(set(years + [reference_year]))
-           if not 0.0 < float(deflators[y]) < math.inf]
-    if bad:
-        raise ValueError(f"deflator index must be positive and finite for year(s): {bad}")
+    check_deflators(deflators, years, reference_year)
     ref_index = float(deflators[reference_year])
     records = []
     for i, year in enumerate(years):

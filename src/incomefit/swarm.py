@@ -11,6 +11,9 @@ endpoints over the iteration budget.
 The hybrid layer periodically polishes the incumbent best with L-BFGS-B
 steps driven by central finite-difference gradients; refinement never
 returns a worse point than its input.
+
+An objective maps an (n, d) array of points to n values, so a whole
+population, or all probes of one gradient, costs one call.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def initialize(config: SwarmConfig, objective) -> SwarmState:
     second = lo + (hi - lo) * rng.random((n, d))
     velocities = (second - positions) / 2.0
     informants = _draw_informants(rng, n, K_INFORMANTS)
-    values = np.array([objective(p) for p in positions], dtype=float)
+    values = np.asarray(objective(positions), dtype=float)
     best_idx = int(np.argmin(values))
     return SwarmState(
         positions=positions,
@@ -126,7 +129,7 @@ def step(state: SwarmState, config: SwarmConfig, objective) -> SwarmState:
     state.positions = np.clip(state.positions, lo, hi)
     state.velocities[out] = 0.0
 
-    values = np.array([objective(p) for p in state.positions], dtype=float)
+    values = np.asarray(objective(state.positions), dtype=float)
     better = values < state.pbest_values
     state.pbest_positions[better] = state.positions[better]
     state.pbest_values[better] = values[better]
@@ -148,39 +151,45 @@ def refine(point, objective, bounds, max_steps: int = 100) -> tuple[np.ndarray, 
     """Bounded quasi-Newton polish from ``point``; never returns a worse point.
 
     Gradients are central finite differences with relative step 1e-6 per
-    coordinate, falling back to one-sided differences at the box faces.
-    A non-finite objective at the start point returns it unchanged.
+    coordinate, falling back to one-sided differences at the box faces;
+    the 2d probes of one gradient are evaluated in one call. A
+    non-finite objective at the start point returns it unchanged.
     """
     bounds = np.asarray(bounds, dtype=float)
     lo, hi = bounds[:, 0], bounds[:, 1]
     x0 = np.clip(np.asarray(point, dtype=float), lo, hi)
-    f0 = float(objective(x0))
+    f0 = float(objective(x0[None, :])[0])
     if not np.isfinite(f0):
         return np.asarray(point, dtype=float).copy(), f0
     best_x, best_f = x0.copy(), f0
 
-    def evaluate(x):
+    def evaluate(points):
+        """Objective values, non-finite ones as 1e300; keeps the best finite point."""
         nonlocal best_x, best_f
-        f = float(objective(x))
-        if np.isfinite(f) and f < best_f:
-            best_f = f
-            best_x = np.array(x, dtype=float)
-        return f if np.isfinite(f) else 1e300
+        values = np.asarray(objective(points), dtype=float)
+        finite = np.isfinite(values)
+        i = int(np.argmin(np.where(finite, values, np.inf)))  # first of equal minima
+        if finite[i] and values[i] < best_f:
+            best_f, best_x = float(values[i]), points[i].copy()
+        return np.where(finite, values, 1e300)
+
+    def value(x):
+        return float(evaluate(np.asarray(x, dtype=float)[None, :])[0])
 
     def gradient(x):
-        g = np.zeros_like(x)
-        for i in range(x.size):
-            h = 1e-6 * max(abs(x[i]), 1e-3 * (hi[i] - lo[i]))
-            xp = x.copy()
-            xp[i] = min(x[i] + h, hi[i])
-            xm = x.copy()
-            xm[i] = max(x[i] - h, lo[i])
-            span = xp[i] - xm[i]
-            g[i] = 0.0 if span == 0.0 else (evaluate(xp) - evaluate(xm)) / span
-        return g
+        d = x.size
+        h = 1e-6 * np.maximum(np.abs(x), 1e-3 * (hi - lo))
+        up, down = np.minimum(x + h, hi), np.maximum(x - h, lo)
+        idx = np.arange(d)
+        probes = np.repeat(x[None, :], 2 * d, axis=0)  # rows x+h0, x-h0, x+h1, ...
+        probes[2 * idx, idx] = up
+        probes[2 * idx + 1, idx] = down
+        values = evaluate(probes)
+        return np.divide(values[0::2] - values[1::2], up - down, out=np.zeros(d),
+                         where=up != down)
 
     try:
-        minimize(evaluate, x0, jac=gradient, method="L-BFGS-B",
+        minimize(value, x0, jac=gradient, method="L-BFGS-B",
                  bounds=list(zip(lo, hi)), options={"maxiter": int(max_steps)})
     except (ValueError, FloatingPointError):
         pass

@@ -1,11 +1,14 @@
 """Loss assembly: parameter resolution, log error, penalties, sentinel."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from incomefit import (
     FitContext,
+    FitSettings,
     IncomeSample,
     SENTINEL_LOSS,
     SearchPoint,
@@ -13,6 +16,7 @@ from incomefit import (
     build_ccdf,
     empirical_mean,
     exponential_regime_mean,
+    fit_sample,
     l1_penalty,
     l2_penalty,
     loss,
@@ -228,3 +232,97 @@ class TestLoss:
         ctx = FitContext(two_class_sample, k=1000)
         x = SearchPoint(0.12, 1.7, 1900.0)
         assert loss(x, ctx).total == loss(x, ctx).total
+
+
+class TestObjectiveBatch:
+    """The batched prefix-sum loss against the exact per-point path."""
+
+    REL = 1e-9
+
+    @pytest.fixture(scope="class", params=[2000, 10_000], ids=["k2000", "k10000"])
+    def case(self, request, two_class_sample):
+        """Context, default search box and a fitted optimum at one k."""
+        settings = FitSettings(k=request.param, n_candidates=16, max_iters=40,
+                               refine_every=0, refine_max_steps=40)
+        ctx = FitContext(two_class_sample, settings.k)
+        fit = fit_sample(two_class_sample, settings, seed=3, context=ctx)
+        bounds = settings.swarm_config(ctx.mean, seed=0).bounds
+        optimum = np.array([fit.point.p, fit.point.alpha, fit.point.temperature])
+        return ctx, bounds, optimum
+
+    @staticmethod
+    def exact(ctx, points):
+        return np.array([ctx.loss_at(*x).total for x in points])
+
+    @staticmethod
+    def oracle(ctx, x):
+        """Total from the reference functions alone."""
+        point = SearchPoint(*x)
+        params, m_c = resolve_params(point, ctx.ccdf)
+        emp = ctx.ccdf.evaluate(ctx.fit_points)
+        mod = model_ccdf(params, ctx.fit_points)
+        return (rmsle(emp, mod) + l1_penalty(point.temperature, m_c, ctx.sample)
+                + l2_penalty(params.lam, point.p))
+
+    def test_matches_loss_at_in_default_box(self, case):
+        ctx, bounds, _ = case
+        rng = np.random.default_rng(101)
+        points = bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * rng.random((20_000, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = ctx.objective_batch(points)
+        exact = self.exact(ctx, points)
+        assert batch.shape == (20_000,)
+        np.testing.assert_allclose(batch, exact, rtol=self.REL, atol=0)
+
+    def test_matches_loss_at_near_optimum(self, case):
+        ctx, _, optimum = case
+        rng = np.random.default_rng(202)
+        points = optimum * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, (2000, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = ctx.objective_batch(points)
+        np.testing.assert_allclose(batch, self.exact(ctx, points), rtol=self.REL, atol=0)
+
+    def test_matches_reference_oracle(self, case):
+        ctx, bounds, optimum = case
+        rng = np.random.default_rng(303)
+        points = np.concatenate([
+            bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * rng.random((40, 3)),
+            optimum * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, (40, 3))),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = ctx.objective_batch(points)
+        oracle = np.array([self.oracle(ctx, x) for x in points])
+        np.testing.assert_allclose(batch, oracle, rtol=self.REL, atol=0)
+
+    def test_sentinel_rows(self, two_class_sample):
+        ctx = FitContext(two_class_sample, k=1000)
+        good = [0.1, 1.8, 1800.0]
+        rows = np.array([
+            good,
+            [0.0, 1.8, 1800.0],      # p <= 0
+            [-0.1, 1.8, 1800.0],
+            [1.5, 1.8, 1800.0],      # p > 1
+            [1.0, 1.8, 1800.0],      # no income below the crossover
+            [0.1, 1.8, 0.0],         # T <= 0
+            [0.1, 1.8, -50.0],
+            [0.1, 1.0, 1800.0],      # alpha <= 1
+            [0.1, 0.5, 1800.0],
+            [0.01, 2.0, 1e-6],       # exponent overflow
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = ctx.objective_batch(rows)
+        exact = self.exact(ctx, rows)
+        assert np.all(exact[1:] == SENTINEL_LOSS)
+        assert values[0] == pytest.approx(exact[0], rel=self.REL)
+        assert np.all(values[1:] == SENTINEL_LOSS)
+
+    def test_sentinel_on_all_equal_sample(self):
+        ctx = FitContext(IncomeSample([7.0] * 50), k=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = ctx.objective_batch(np.array([[0.1, 2.0, 7.0], [0.5, 1.5, 3.0]]))
+        assert np.all(values == SENTINEL_LOSS)

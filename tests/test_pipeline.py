@@ -23,6 +23,7 @@ from incomefit import (
     model_ccdf,
     sample_incomes,
 )
+from incomefit import pipeline as pipeline_module
 from incomefit import series as series_module
 from incomefit.cli import build_parser, main
 
@@ -61,8 +62,16 @@ class TestIngest:
         result = ingest(DatasetSpec(str(mixed_csv), "income"))
         assert sorted(result.sample.values.tolist()) == [100.0, 150.0, 200.0]
         assert result.n_rows == 6
-        assert result.dropped == {"filtered": 0, "missing": 1,
-                                  "unparseable": 1, "nonpositive": 1}
+        assert result.dropped == {"filtered": 0, "missing": 1, "unparseable": 1,
+                                  "nonfinite": 0, "nonpositive": 1}
+
+    def test_nonfinite_incomes_have_their_own_reason(self, tmp_path):
+        path = tmp_path / "nonfinite.csv"
+        write_csv(path, ["income", "inf", "nan", "1e400", "-5", "10", "20"])
+        result = ingest(DatasetSpec(str(path), "income"))
+        assert sorted(result.sample.values.tolist()) == [10.0, 20.0]
+        assert result.dropped["nonfinite"] == 3
+        assert result.dropped["nonpositive"] == 1
 
     def test_category_filter(self, mixed_csv):
         result = ingest(DatasetSpec(str(mixed_csv), "income",
@@ -298,6 +307,14 @@ class TestSeriesInput:
     def test_fewer_than_three_years(self, run_series):
         code, err = run_series(self.GOOD, years=(2002, 2003))
         assert code == 1 and "at least 3 years" in err
+
+    def test_bad_index_rejected_before_ingest(self, run_series, monkeypatch):
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("a year was read before the deflators were checked")
+
+        monkeypatch.setattr(pipeline_module, "ingest", no_ingest)
+        code, err = run_series(self.GOOD[:2] + ["2002,0"] + self.GOOD[3:])
+        assert code == 1 and "positive and finite" in err and "2002" in err
 
 
 class TestCli:

@@ -1,4 +1,7 @@
-"""Swarm dynamics, informant topology, quasi-Newton refinement, hybrid run."""
+"""Swarm dynamics, informant topology, quasi-Newton refinement, hybrid run.
+
+Objectives map an (n, d) array of points to n values.
+"""
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ def sphere_factory(target):
     target = np.asarray(target, dtype=float)
 
     def sphere(x):
-        return float(np.sum((x - target) ** 2))
+        return np.sum((x - target) ** 2, axis=-1)
 
     return sphere
 
@@ -36,7 +39,7 @@ class TestInitialize:
             hi = lo + rng.uniform(0.1, 10, d)
             config = SwarmConfig(bounds=np.c_[lo, hi], n_candidates=8,
                                  max_iters=5, seed=int(trial))
-            state = initialize(config, lambda x: float(np.sum(x ** 2)))
+            state = initialize(config, lambda x: np.sum(x ** 2, axis=-1))
             assert np.all(state.positions >= lo) and np.all(state.positions <= hi)
 
     def test_seed_determinism_bitwise(self):
@@ -144,9 +147,9 @@ class TestStep:
         history = []
 
         def recording(x):
-            value = float(np.sum((x - np.array([0.3, 0.5, 22.0])) ** 2))
-            history.append(value)
-            return value
+            values = np.sum((x - np.array([0.3, 0.5, 22.0])) ** 2, axis=-1)
+            history.extend(values.tolist())
+            return values
 
         state = initialize(config, recording)
         visits = [[v] for v in history[-config.n_candidates:]]
@@ -197,13 +200,13 @@ class TestRefine:
         rng = np.random.default_rng(23)
         for _ in range(100):
             start = bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * rng.random(3)
-            f_start = ctx.objective(start)
-            _, f_end = refine(start, ctx.objective, bounds, max_steps=15)
+            f_start = ctx.objective_batch(start[None, :])[0]
+            _, f_end = refine(start, ctx.objective_batch, bounds, max_steps=15)
             assert f_end <= f_start
 
     def test_nonfinite_start_returns_input(self):
         def bad(x):
-            return float("nan")
+            return np.full(len(x), np.nan)
 
         start = np.array([0.5, 0.0, 20.0])
         x, val = refine(start, bad, BOX, max_steps=10)
@@ -225,7 +228,7 @@ class TestOptimize:
         def run(seed):
             config = SwarmConfig(bounds=bounds, n_candidates=25, max_iters=80,
                                  seed=seed)
-            return optimize(config, ctx.objective)
+            return optimize(config, ctx.objective_batch)
 
         a, b = run(1), run(1)
         assert np.array_equal(a.x, b.x)
@@ -241,3 +244,56 @@ class TestOptimize:
         result = optimize(config, sphere_factory(target))
         # ten swarm iterations alone cannot hit 1e-10; the final polish can
         assert result.value < 1e-10
+
+
+class TestCallShape:
+    """The population, and all probes of one gradient, cost one call each."""
+
+    @staticmethod
+    def recording_sphere(shapes):
+        sphere = sphere_factory([0.4, 0.8, 18.0])
+
+        def objective(x):
+            shapes.append(np.shape(x))
+            return sphere(x)
+
+        return objective
+
+    def test_initialize_and_step_one_population_call(self):
+        config = SwarmConfig(bounds=BOX, n_candidates=7, max_iters=5, seed=3)
+        shapes = []
+        objective = self.recording_sphere(shapes)
+        state = initialize(config, objective)
+        assert shapes == [(7, 3)]
+        for _ in range(config.max_iters):
+            shapes.clear()
+            step(state, config, objective)
+            assert shapes == [(7, 3)]
+
+    def test_refine_point_and_gradient_calls(self):
+        shapes = []
+        refine(np.array([0.9, -1.5, 27.0]), self.recording_sphere(shapes), BOX,
+               max_steps=5)
+        assert shapes[0] == (1, 3)
+        assert set(shapes) == {(1, 3), (6, 3)}
+
+    def test_refine_keeps_first_best_probe_in_probe_order(self):
+        # every gradient probe beats the start; the first probe of the first
+        # gradient (x + h0) is the best, and ties later in the order lose
+        start = np.array([0.5, 0.0, 20.0])
+        calls = []
+
+        def objective(x):
+            calls.append(np.array(x))
+            if len(x) == 1:
+                return np.full(1, 10.0)
+            values = np.full(len(x), 5.0)
+            values[0] = 1.0
+            values[3] = 1.0
+            return values
+
+        x, val = refine(start, objective, BOX, max_steps=1)
+        first_gradient = next(c for c in calls if len(c) == 6)
+        assert val == 1.0
+        assert np.array_equal(x, first_gradient[0])
+        assert x[0] > start[0] and np.array_equal(x[1:], start[1:])
