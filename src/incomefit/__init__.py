@@ -29,7 +29,6 @@ from .objective import (
     SearchPoint,
     l1_penalty,
     l2_penalty,
-    loss,
     resolve_params,
     rmsle,
 )

@@ -34,23 +34,25 @@ def _add_settings_args(parser: argparse.ArgumentParser):
 def _resolve_settings(args) -> tuple[FitSettings, int]:
     """Defaults, overridden by the config file, overridden by CLI flags."""
     values = {}
-    seed = 0
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+        converters = dict(_SETTING_FLAGS, seed=int)
         for key, val in loaded.items():
-            if key == "seed":
-                seed = int(val)
-            elif key in _SETTING_FLAGS:
-                values[key] = _SETTING_FLAGS[key](val)
-            else:
+            if key not in converters:
                 raise ValueError(f"unknown config key: {key}")
-    for name in _SETTING_FLAGS:
+            try:
+                values[key] = converters[key](val)
+            except (TypeError, ValueError):
+                raise ValueError(f"config key {key}: {val!r} is not "
+                                 f"{converters[key].__name__}") from None
+    for name in [*_SETTING_FLAGS, "seed"]:
         flag = getattr(args, name)
         if flag is not None:
             values[name] = flag
-    if args.seed is not None:
-        seed = args.seed
+    seed = values.pop("seed", 0)
     return FitSettings(**values), seed
 
 

@@ -102,7 +102,7 @@ def fit_sample(sample: IncomeSample, settings: FitSettings = FitSettings(),
     breakdown = context.loss_at(*result.x)
     if breakdown.degenerate or breakdown.params is None:
         raise FitError("optimizer found no non-degenerate model for this sample")
-    point = SearchPoint.from_array(result.x)
+    point = SearchPoint(*result.x.tolist())
     params = breakdown.params
     assert breakdown.crossover is not None
     rmsle_exp, n_exp, rmsle_par, n_par = region_rmsle(context, params)

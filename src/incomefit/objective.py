@@ -40,10 +40,6 @@ class SearchPoint:
     alpha: float
     temperature: float
 
-    @classmethod
-    def from_array(cls, arr) -> "SearchPoint":
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
-
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -128,52 +124,49 @@ class FitContext:
         log_model[split:] = log_lam - alpha * (self.fit_log_income[split:] - math.log(crossover))
         return self.fit_log_fraction - log_model, split
 
+    def _resolve(self, p, alpha, temperature):
+        """Crossover, exponent z = m_c/T, both penalties and validity per search point.
+
+        A point is valid when 0 < p <= 1, T > 0, alpha > 1, m_c > 0, z
+        does not overflow, some income lies below the crossover and the
+        CCDF has more than one knot; NaN makes it invalid. Invalid points
+        compute garbage under errstate, which callers mask.
+        """
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # the interpolation of EmpiricalCcdf.inverse, without its range check
+            m_c = np.interp(p, self.ccdf._fr_asc, self.ccdf._inc_by_fr)
+            z = m_c / temperature
+            count, total = self.sample.count_and_sum_below(m_c)
+            theo_mean = temperature - m_c / np.expm1(z)
+            mean_pen = np.abs(theo_mean / (total / count) - 1.0)
+            frac_pen = np.abs(np.exp(-z) / p - 1.0)
+        ok = ((p > 0.0) & (p <= 1.0) & (temperature > 0.0) & (alpha > 1.0)
+              & (m_c > 0.0) & (z <= _EXP_OVERFLOW) & (count > 0) & (not self.single_knot))
+        return m_c, z, mean_pen, frac_pen, ok
+
     def loss_at(self, p: float, alpha: float, temperature: float) -> LossBreakdown:
         """Evaluate the full loss; sentinel on degenerate configurations."""
-        if not (0.0 < p <= 1.0) or temperature <= 0.0 or alpha <= 1.0 or self.single_knot:
+        m_c, z, mean_pen, frac_pen, ok = self._resolve(
+            np.array([p], dtype=float), alpha, temperature)
+        if not ok[0]:
             return LossBreakdown.sentinel()
-        m_c = self.ccdf.inverse(p)
-        if m_c <= 0.0:
-            return LossBreakdown.sentinel()
-        z = m_c / temperature
-        if z > _EXP_OVERFLOW:
-            return LossBreakdown.sentinel()
-        lam = math.exp(-z)
+        m_c, z = float(m_c[0]), float(z[0])
         residuals, _ = self.log_residuals(temperature, m_c, -z, alpha)
         rmsle_val = float(np.sqrt(np.mean(residuals * residuals)))
-
-        count, total = self.sample.count_and_sum_below(m_c)
-        if count == 0:
-            return LossBreakdown.sentinel()
-        body_mean = total / count
-        theo_mean = temperature - m_c / math.expm1(z)
-        mean_pen = abs(theo_mean / body_mean - 1.0)
-        frac_pen = abs(lam / p - 1.0)
-
-        params = TwoClassParams(lam, temperature, alpha)
+        mean_pen, frac_pen = float(mean_pen[0]), float(frac_pen[0])
+        params = TwoClassParams(math.exp(-z), temperature, alpha)
         return LossBreakdown(rmsle_val, mean_pen, frac_pen,
                              rmsle_val + mean_pen + frac_pen, params, m_c)
-
-    def objective(self, x: np.ndarray) -> float:
-        """Scalar loss at one search point, ``loss_at(*x).total``."""
-        return self.loss_at(x[0], x[1], x[2]).total
 
     def objective_batch(self, X) -> np.ndarray:
         """Loss totals of an (n, 3) array of search points, one per row.
 
         Agrees with ``loss_at(...).total`` to rounding and returns the
-        sentinel under the same rules; a NaN coordinate also gives the
-        sentinel.
+        sentinel under the same rules.
         """
-        X = np.asarray(X, dtype=float)
-        p, alpha, temperature = X.T
-        if self.single_knot:
-            return np.full(len(X), SENTINEL_LOSS)
-        # rows that fail a check compute garbage under errstate and are masked at the end
+        p, alpha, temperature = np.asarray(X, dtype=float).T
+        m_c, z, mean_pen, frac_pen, ok = self._resolve(p, alpha, temperature)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            # the interpolation of EmpiricalCcdf.inverse, without its range check
-            m_c = np.interp(p, self.ccdf._fr_asc, self.ccdf._inc_by_fr)
-            z = m_c / temperature
             split = np.searchsorted(self.fit_points, m_c, side="left")
             yy, xy, xx, n_tail, w, v, wv, vv, ww = self._sums.take(split, axis=1)
             inv_t = 1.0 / temperature
@@ -183,13 +176,6 @@ class FitContext:
             sq_tail = (ww + alpha * (2.0 * wv + alpha * vv)
                        + a * (2.0 * (w + alpha * v) + n_tail * a))
             rmsle_val = np.sqrt(np.maximum(sq_body + sq_tail, 0.0) / self.fit_points.size)
-
-            count, total = self.sample.count_and_sum_below(m_c)
-            theo_mean = temperature - m_c / np.expm1(z)
-            mean_pen = np.abs(theo_mean / (total / count) - 1.0)
-            frac_pen = np.abs(np.exp(-z) / p - 1.0)
-        ok = ((p > 0.0) & (p <= 1.0) & (temperature > 0.0) & (alpha > 1.0)
-              & (m_c > 0.0) & (z <= _EXP_OVERFLOW) & (count > 0))
         return np.where(ok, rmsle_val + mean_pen + frac_pen, SENTINEL_LOSS)
 
 
@@ -238,9 +224,3 @@ def l2_penalty(lam: float, p: float) -> float:
         raise ValueError(f"crossover fraction must be positive, got {p}")
     return abs(lam / p - 1.0)
 
-
-def loss(x, data: FitContext) -> LossBreakdown:
-    """Full regularized loss at a search point (SearchPoint or array)."""
-    if isinstance(x, SearchPoint):
-        return data.loss_at(x.p, x.alpha, x.temperature)
-    return data.loss_at(float(x[0]), float(x[1]), float(x[2]))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -52,6 +53,18 @@ class IngestResult:
     n_rows: int
     n_used: int
     dropped: dict[str, int]
+    skipped_strata: dict[str, int]      # category -> incomes, for categories under 2
+
+
+@contextmanager
+def _parsing(path, reader):
+    """Yield ``reader``; a csv parser error becomes a ValueError naming the file and line."""
+    try:
+        yield reader
+    except csv.Error as exc:
+        # a DictReader counts a line only once it parses; its inner parser counts on reading
+        line = getattr(reader, "reader", reader).line_num
+        raise ValueError(f"{path}, line {line}: {exc}") from None
 
 
 def ingest(spec: DatasetSpec) -> IngestResult:
@@ -61,14 +74,15 @@ def ingest(spec: DatasetSpec) -> IngestResult:
     rows, missing, unparseable, non-finite (``inf``, ``nan``, overflowing
     literals such as ``1e400``) and non-positive incomes are dropped with
     per-reason counts. Retained incomes keep their source values
-    exactly.
+    exactly. Strata with fewer than 2 incomes are left out and recorded
+    in ``skipped_strata``.
     """
     dropped = {"filtered": 0, "missing": 0, "unparseable": 0, "nonfinite": 0,
                "nonpositive": 0}
     incomes: list[float] = []
     labels: list[str] = []
-    with open(spec.path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    with (open(spec.path, newline="", encoding="utf-8") as fh,
+          _parsing(spec.path, csv.DictReader(fh)) as reader):
         if reader.fieldnames is None or spec.income_column not in reader.fieldnames:
             raise ValueError(f"income column {spec.income_column!r} not found in {spec.path}")
         for col in list(spec.filters) + ([spec.stratify_by] if spec.stratify_by else []):
@@ -103,6 +117,7 @@ def ingest(spec: DatasetSpec) -> IngestResult:
                          f"(rows read: {n_rows}, dropped: {dropped})")
     sample = IncomeSample(incomes)
     strata: dict[str, IncomeSample] = {}
+    skipped: dict[str, int] = {}
     if spec.stratify_by:
         arr = np.asarray(incomes)
         lab = np.asarray(labels)
@@ -110,7 +125,9 @@ def ingest(spec: DatasetSpec) -> IngestResult:
             vals = arr[lab == category]
             if vals.size >= 2:
                 strata[category] = IncomeSample(vals)
-    return IngestResult(sample, strata, n_rows, len(incomes), dropped)
+            else:
+                skipped[category] = int(vals.size)
+    return IngestResult(sample, strata, n_rows, len(incomes), dropped, skipped)
 
 
 def _fmt(value) -> str:
@@ -277,11 +294,16 @@ def _write_bootstrap_outputs(out: Path, prefix: str, summary: BootstrapSummary,
 def cmd_bootstrap(spec: DatasetSpec, n_replicas: int, out_dir: str | Path,
                   settings: FitSettings = FitSettings(),
                   seed: int = 0) -> dict[str, BootstrapSummary]:
-    """Bootstrap validation of the whole sample and of each stratum."""
+    """Bootstrap validation of the whole sample and of each stratum.
+
+    A stratum with fewer than 2 incomes is skipped with one printed line.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ingested = ingest(spec)
     summaries: dict[str, BootstrapSummary] = {}
+    for category, count in ingested.skipped_strata.items():
+        print(f"{category}: skipped, {count} income(s), need at least 2")
     if spec.stratify_by:
         for category, sub in sorted(ingested.strata.items()):
             summary = run_validation(sub, n_replicas, settings, seed=seed)
@@ -326,8 +348,8 @@ def cmd_baseline(spec: DatasetSpec, lam0: float, out_dir: str | Path,
 def read_deflators(path: str | Path) -> dict[int, float]:
     """Two-column CSV (year, index value) to a mapping; each year once."""
     deflators: dict[int, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with (open(path, newline="", encoding="utf-8") as fh,
+          _parsing(path, csv.reader(fh)) as reader):
         header = next(reader, None)
         if header is None:
             raise ValueError(f"deflator file {path} is empty")

@@ -13,12 +13,13 @@ steps driven by central finite-difference gradients; refinement never
 returns a worse point than its input.
 
 An objective maps an (n, d) array of points to n values, so a whole
-population, or all probes of one gradient, costs one call.
+population, or one refinement point with all probes of its gradient,
+costs one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -62,7 +63,6 @@ class SwarmState:
     t: int
     rng: np.random.Generator
     informant_redraws: int = 0
-    last_step_improved: bool = field(default=True)
 
 
 def _draw_informants(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
@@ -135,25 +135,24 @@ def step(state: SwarmState, config: SwarmConfig, objective) -> SwarmState:
     state.pbest_values[better] = values[better]
 
     best_idx = int(np.argmin(state.pbest_values))
-    improved = state.pbest_values[best_idx] < state.best_value
-    if improved:
+    if state.pbest_values[best_idx] < state.best_value:
         state.best_value = float(state.pbest_values[best_idx])
         state.best_x = state.pbest_positions[best_idx].copy()
     else:
         state.informants = _draw_informants(state.rng, n, K_INFORMANTS)
         state.informant_redraws += 1
-    state.last_step_improved = bool(improved)
     state.t += 1
     return state
 
 
-def refine(point, objective, bounds, max_steps: int = 100) -> tuple[np.ndarray, float]:
+def refine(point, objective, bounds, max_steps: int) -> tuple[np.ndarray, float]:
     """Bounded quasi-Newton polish from ``point``; never returns a worse point.
 
     Gradients are central finite differences with relative step 1e-6 per
     coordinate, falling back to one-sided differences at the box faces;
-    the 2d probes of one gradient are evaluated in one call. A
-    non-finite objective at the start point returns it unchanged.
+    each L-BFGS-B point is scored in one call together with its 2d
+    probes. A non-finite objective at the start point returns it
+    unchanged.
     """
     bounds = np.asarray(bounds, dtype=float)
     lo, hi = bounds[:, 0], bounds[:, 1]
@@ -162,34 +161,29 @@ def refine(point, objective, bounds, max_steps: int = 100) -> tuple[np.ndarray, 
     if not np.isfinite(f0):
         return np.asarray(point, dtype=float).copy(), f0
     best_x, best_f = x0.copy(), f0
+    d = x0.size
+    idx = np.arange(d)
 
-    def evaluate(points):
-        """Objective values, non-finite ones as 1e300; keeps the best finite point."""
+    def value_and_gradient(x):
+        """Value and gradient at ``x``, non-finite values as 1e300; keeps the best finite row."""
         nonlocal best_x, best_f
-        values = np.asarray(objective(points), dtype=float)
+        h = 1e-6 * np.maximum(np.abs(x), 1e-3 * (hi - lo))
+        up, down = np.minimum(x + h, hi), np.maximum(x - h, lo)
+        rows = np.repeat(x[None, :], 2 * d + 1, axis=0)  # rows x, x+h0, x-h0, x+h1, ...
+        rows[2 * idx + 1, idx] = up
+        rows[2 * idx + 2, idx] = down
+        values = np.asarray(objective(rows), dtype=float)
         finite = np.isfinite(values)
         i = int(np.argmin(np.where(finite, values, np.inf)))  # first of equal minima
         if finite[i] and values[i] < best_f:
-            best_f, best_x = float(values[i]), points[i].copy()
-        return np.where(finite, values, 1e300)
-
-    def value(x):
-        return float(evaluate(np.asarray(x, dtype=float)[None, :])[0])
-
-    def gradient(x):
-        d = x.size
-        h = 1e-6 * np.maximum(np.abs(x), 1e-3 * (hi - lo))
-        up, down = np.minimum(x + h, hi), np.maximum(x - h, lo)
-        idx = np.arange(d)
-        probes = np.repeat(x[None, :], 2 * d, axis=0)  # rows x+h0, x-h0, x+h1, ...
-        probes[2 * idx, idx] = up
-        probes[2 * idx + 1, idx] = down
-        values = evaluate(probes)
-        return np.divide(values[0::2] - values[1::2], up - down, out=np.zeros(d),
-                         where=up != down)
+            best_f, best_x = float(values[i]), rows[i].copy()
+        values = np.where(finite, values, 1e300)
+        gradient = np.divide(values[1::2] - values[2::2], up - down, out=np.zeros(d),
+                             where=up != down)
+        return float(values[0]), gradient
 
     try:
-        minimize(value, x0, jac=gradient, method="L-BFGS-B",
+        minimize(value_and_gradient, x0, jac=True, method="L-BFGS-B",
                  bounds=list(zip(lo, hi)), options={"maxiter": int(max_steps)})
     except (ValueError, FloatingPointError):
         pass
@@ -202,7 +196,6 @@ class OptimizeResult:
     value: float
     trace: list[float]                  # best value after init, each iter, final refine
     trace_points: list[np.ndarray]
-    informant_redraws: int
 
 
 def optimize(config: SwarmConfig, objective) -> OptimizeResult:
@@ -227,5 +220,4 @@ def optimize(config: SwarmConfig, objective) -> OptimizeResult:
         best_value, best_x = rv, rx.copy()
     trace.append(best_value)
     trace_points.append(best_x.copy())
-    return OptimizeResult(best_x, best_value, trace, trace_points,
-                          state.informant_redraws)
+    return OptimizeResult(best_x, best_value, trace, trace_points)

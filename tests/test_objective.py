@@ -19,7 +19,6 @@ from incomefit import (
     fit_sample,
     l1_penalty,
     l2_penalty,
-    loss,
     model_ccdf,
     resolve_params,
     rmsle,
@@ -145,13 +144,13 @@ class TestLoss:
         truth = TwoClassParams(0.10, 1800.0, 1.8)
         s = sample_incomes(truth, 1_000_000, seed=1)
         ctx = FitContext(s, k=10_000)
-        b = loss(SearchPoint(truth.lam, truth.alpha, truth.temperature), ctx)
+        b = ctx.loss_at(truth.lam, truth.alpha, truth.temperature)
         assert b.total < 0.01
 
     def test_breakdown_matches_component_functions(self, two_class_sample):
         ctx = FitContext(two_class_sample, k=2000)
         x = SearchPoint(0.09, 1.9, 1750.0)
-        b = loss(x, ctx)
+        b = ctx.loss_at(x.p, x.alpha, x.temperature)
         params, m_c = resolve_params(x, ctx.ccdf)
         assert b.crossover == pytest.approx(m_c, rel=1e-12)
         assert b.params.lam == pytest.approx(params.lam, rel=1e-12)
@@ -166,8 +165,8 @@ class TestLoss:
 
     def test_perturbing_alpha_increases_loss(self, two_class_sample):
         ctx = FitContext(two_class_sample, k=5000)
-        base = loss(SearchPoint(0.10, 1.8, 1800.0), ctx).total
-        worse = loss(SearchPoint(0.10, 2.3, 1800.0), ctx).total
+        base = ctx.loss_at(0.10, 1.8, 1800.0).total
+        worse = ctx.loss_at(0.10, 2.3, 1800.0).total
         assert worse > base
 
     def test_nonnegative_components(self, two_class_sample):
@@ -176,7 +175,7 @@ class TestLoss:
         for _ in range(50):
             x = SearchPoint(rng.uniform(0.001, 0.2), rng.uniform(1.01, 3.0),
                             rng.uniform(900.0, 7000.0))
-            b = loss(x, ctx)
+            b = ctx.loss_at(x.p, x.alpha, x.temperature)
             assert b.rmsle >= 0 and b.mean_penalty >= 0 and b.fraction_penalty >= 0
             assert b.total >= 0
 
@@ -185,17 +184,16 @@ class TestLoss:
         values = rng.exponential(scale=500.0, size=4000) + 1.0
         ctx1 = FitContext(IncomeSample(values), k=500)
         ctx2 = FitContext(IncomeSample(rng.permutation(values)), k=500)
-        x = SearchPoint(0.1, 1.8, 520.0)
-        assert loss(x, ctx1).total == loss(x, ctx2).total
+        x = (0.1, 1.8, 520.0)
+        assert ctx1.loss_at(*x).total == ctx2.loss_at(*x).total
 
     def test_currency_rescaling_covariance(self, two_class_sample):
         c = 3.7
         scaled = IncomeSample(two_class_sample.values * c)
         ctx1 = FitContext(two_class_sample, k=2000)
         ctx2 = FitContext(scaled, k=2000)
-        x1 = SearchPoint(0.09, 1.9, 1750.0)
-        x2 = SearchPoint(0.09, 1.9, 1750.0 * c)
-        b1, b2 = loss(x1, ctx1), loss(x2, ctx2)
+        b1 = ctx1.loss_at(0.09, 1.9, 1750.0)
+        b2 = ctx2.loss_at(0.09, 1.9, 1750.0 * c)
         assert b2.rmsle == pytest.approx(b1.rmsle, rel=1e-9)
         assert b2.fraction_penalty == pytest.approx(b1.fraction_penalty, rel=1e-9)
         assert b2.mean_penalty == pytest.approx(b1.mean_penalty, rel=1e-9)
@@ -204,7 +202,7 @@ class TestLoss:
     def test_crossover_continuous_and_monotone_in_fraction(self, two_class_sample):
         ctx = FitContext(two_class_sample, k=2000)
         ps = np.linspace(0.005, 0.2, 500)
-        m_cs = np.array([loss(SearchPoint(p, 1.8, 1800.0), ctx).crossover for p in ps])
+        m_cs = np.array([ctx.loss_at(p, 1.8, 1800.0).crossover for p in ps])
         assert np.all(np.diff(m_cs) <= 0)
         # piecewise-linear interpolation is continuous: an epsilon move in
         # the fraction moves the crossover by at most epsilon times the
@@ -214,24 +212,24 @@ class TestLoss:
         slopes = np.abs(np.diff(ccdf.incomes) / np.diff(ccdf.fractions))
         eps = 1e-9
         for p in rng.uniform(0.006, 0.199, 50):
-            left = loss(SearchPoint(p - eps, 1.8, 1800.0), ctx).crossover
-            right = loss(SearchPoint(p + eps, 1.8, 1800.0), ctx).crossover
+            left = ctx.loss_at(p - eps, 1.8, 1800.0).crossover
+            right = ctx.loss_at(p + eps, 1.8, 1800.0).crossover
             assert abs(right - left) <= 2 * eps * slopes.max() + 1e-9
 
     def test_sentinel_on_degenerate_inputs(self, two_class_sample):
         ctx = FitContext(two_class_sample, k=1000)
         # tiny temperature: exponent overflow
-        b = loss(SearchPoint(0.01, 2.0, 1e-6), ctx)
+        b = ctx.loss_at(0.01, 2.0, 1e-6)
         assert b.degenerate and b.total == SENTINEL_LOSS
         # all-equal sample: single CCDF knot
         ctx_flat = FitContext(IncomeSample([7.0] * 50), k=10)
-        b = loss(SearchPoint(0.1, 2.0, 7.0), ctx_flat)
+        b = ctx_flat.loss_at(0.1, 2.0, 7.0)
         assert b.degenerate and b.total == SENTINEL_LOSS
 
     def test_deterministic(self, two_class_sample):
         ctx = FitContext(two_class_sample, k=1000)
-        x = SearchPoint(0.12, 1.7, 1900.0)
-        assert loss(x, ctx).total == loss(x, ctx).total
+        x = (0.12, 1.7, 1900.0)
+        assert ctx.loss_at(*x).total == ctx.loss_at(*x).total
 
 
 class TestObjectiveBatch:

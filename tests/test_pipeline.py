@@ -341,6 +341,41 @@ class TestCli:
         assert code == 1
         assert "unknown config key: c1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, named", [
+        ('{"k": null}', "config key k"),
+        ('{"k": [5]}', "config key k"),
+        ("[1, 2]", "JSON object"),
+    ])
+    def test_bad_config_value_or_shape(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        code = main(["fit", str(tmp_path / "data.csv"), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and named in err
+
+    def test_oversized_csv_field(self, tmp_path, capsys):
+        data = tmp_path / "wide.csv"
+        write_csv(data, ["income", "100", "9" * 200_000, "200"])
+        code = main(["fit", str(data), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "line 3" in err
+
+    def test_tiny_stratum_reported(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        data = tmp_path / "strata.csv"
+        write_csv(data, ["income,g", *(f"{v},a" for v in rng.exponential(900.0, 300) + 1.0),
+                         "500,b"])
+        out_dir = tmp_path / "strata_out"
+        code = main(["bootstrap", str(data), "--stratify-by", "g", "-R", "2",
+                     "--out-dir", str(out_dir), "--k", "100", "--n-candidates", "6",
+                     "--max-iters", "5", "--refine-every", "0"])
+        assert code == 0
+        assert "b: skipped, 1 income(s), need at least 2" in capsys.readouterr().out
+        assert (out_dir / "summary_a.txt").exists()
+        assert not (out_dir / "summary_b.txt").exists()
+
     def test_synth_then_fit_exit_codes(self, tmp_path, capsys):
         data = tmp_path / "cli.csv"
         code = main(["synth", "--top-fraction", "0.1", "--temperature", "1500",
