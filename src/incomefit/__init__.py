@@ -1,7 +1,6 @@
 """Two-class income distribution fitting and inequality indicators."""
 
 from .ccdf import (
-    EmpiricalCcdf,
     IncomeSample,
     build_ccdf,
     class_statistic,
@@ -24,7 +23,6 @@ from .model import (
 )
 from .objective import (
     FitContext,
-    LossBreakdown,
     SENTINEL_LOSS,
     SearchPoint,
     l1_penalty,
@@ -32,29 +30,12 @@ from .objective import (
     resolve_params,
     rmsle,
 )
-from .swarm import OptimizeResult, SwarmConfig, SwarmState, initialize, optimize, refine, step
-from .fitting import FitError, FitResult, FitSettings, fit_sample
-from .bootstrap import (
-    BaselineFit,
-    BootstrapSummary,
-    IndicatorStats,
-    ReplicaRecord,
-    bootstrap_pair,
-    fixed_proportion_fit,
-    run_validation,
-)
-from .series import (
-    AffineFit,
-    IndicatorSeries,
-    PearsonResult,
-    YearRecord,
-    affine_regression,
-    build_series,
-    pearson,
-)
+from .swarm import SwarmConfig, initialize, optimize, refine, step
+from .fitting import FitSettings, fit_sample
+from .bootstrap import bootstrap_pair, fixed_proportion_fit, run_validation
+from .series import affine_regression, build_series, pearson
 from .pipeline import (
     DatasetSpec,
-    IngestResult,
     cmd_baseline,
     cmd_bootstrap,
     cmd_fit,

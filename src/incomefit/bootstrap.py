@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -24,10 +24,6 @@ from .objective import FitContext
 
 log = logging.getLogger(__name__)
 
-INDICATORS = ("crossover", "top_fraction", "temperature", "pareto_index",
-              "gini", "train_rmsle", "test_rmsle")
-
-
 @dataclass(frozen=True)
 class ReplicaRecord:
     seed: int
@@ -38,6 +34,9 @@ class ReplicaRecord:
     gini: float
     train_rmsle: float
     test_rmsle: float
+
+
+INDICATORS = tuple(f.name for f in fields(ReplicaRecord))[1:]   # every field after seed
 
 
 @dataclass(frozen=True)

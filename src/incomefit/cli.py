@@ -39,15 +39,15 @@ def _resolve_settings(args) -> tuple[FitSettings, int]:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-        converters = dict(_SETTING_FLAGS, seed=int)
+        types = dict(_SETTING_FLAGS, seed=int)
         for key, val in loaded.items():
-            if key not in converters:
+            if key not in types:
                 raise ValueError(f"unknown config key: {key}")
-            try:
-                values[key] = converters[key](val)
-            except (TypeError, ValueError):
-                raise ValueError(f"config key {key}: {val!r} is not "
-                                 f"{converters[key].__name__}") from None
+            # an int key takes a JSON integer; a float key, an integer or a float
+            accepted = (int, float) if types[key] is float else int
+            if isinstance(val, bool) or not isinstance(val, accepted):
+                raise ValueError(f"config key {key}: {val!r} is not {types[key].__name__}")
+            values[key] = types[key](val)
     for name in [*_SETTING_FLAGS, "seed"]:
         flag = getattr(args, name)
         if flag is not None:

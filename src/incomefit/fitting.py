@@ -9,7 +9,7 @@ import numpy as np
 
 from .ccdf import DEFAULT_CLASS_POINTS, IncomeSample, empirical_gini
 from .model import TwoClassParams, theoretical_gini
-from .objective import FitContext, LossBreakdown, SENTINEL_LOSS, SearchPoint
+from .objective import FitContext, LossBreakdown, SearchPoint
 from .swarm import OptimizeResult, SwarmConfig, optimize
 
 
@@ -61,10 +61,6 @@ class FitResult:
     settings: FitSettings
     trace: list[float] = field(default_factory=list)
     trace_points: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def failed(self) -> bool:
-        return self.loss.degenerate or self.loss.total >= SENTINEL_LOSS
 
 
 class FitError(ValueError):

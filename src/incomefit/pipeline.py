@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .ccdf import IncomeSample
 from .bootstrap import (
     BootstrapSummary,
-    INDICATORS,
+    ReplicaRecord,
     fixed_proportion_fit,
     run_validation,
 )
@@ -27,6 +27,7 @@ from .model import TwoClassParams, draw_incomes, model_ccdf
 from .objective import FitContext
 from .series import (
     IndicatorSeries,
+    YearRecord,
     affine_regression,
     build_series,
     check_deflators,
@@ -111,7 +112,11 @@ def ingest(spec: DatasetSpec) -> IngestResult:
                 continue
             incomes.append(value)
             if spec.stratify_by:
-                labels.append(row[spec.stratify_by])
+                label = row[spec.stratify_by]
+                if label is None:   # a short row: DictReader fills missing fields with None
+                    raise ValueError(f"{spec.path}, line {reader.line_num}: "
+                                     f"no value in column {spec.stratify_by!r}")
+                labels.append(label)
     if len(incomes) < 2:
         raise ValueError(f"no usable incomes in {spec.path} "
                          f"(rows read: {n_rows}, dropped: {dropped})")
@@ -155,8 +160,23 @@ def _write_csv(path: Path, header: list[str], rows):
             writer.writerow([_fmt(v) for v in row])
 
 
+def _write_records(path: Path, cls, records):
+    """One header row from the fields of dataclass ``cls``, then one row per record."""
+    _write_csv(path, [f.name for f in fields(cls)], map(astuple, records))
+
+
+def _items(record) -> list[tuple[str, object]]:
+    """A dataclass's (field name, value) pairs, in field order."""
+    return [(f.name, getattr(record, f.name)) for f in fields(record)]
+
+
 def _settings_items(settings: FitSettings, seed: int) -> list[tuple[str, object]]:
-    return [(f.name, getattr(settings, f.name)) for f in fields(settings)] + [("seed", seed)]
+    return _items(settings) + [("seed", seed)]
+
+
+def _model_items(lam, temperature, alpha, crossover) -> list[tuple[str, object]]:
+    return [("top_fraction", lam), ("temperature", temperature),
+            ("pareto_index", alpha), ("crossover_income", crossover)]
 
 
 def _dataset_items(spec: DatasetSpec, result: IngestResult) -> list[tuple[str, object]]:
@@ -168,23 +188,15 @@ def _dataset_items(spec: DatasetSpec, result: IngestResult) -> list[tuple[str, o
         ("stratify_by", spec.stratify_by or "none"),
         ("rows_read", result.n_rows),
         ("incomes_used", result.n_used),
-        ("dropped_filtered", result.dropped["filtered"]),
-        ("dropped_missing", result.dropped["missing"]),
-        ("dropped_unparseable", result.dropped["unparseable"]),
-        ("dropped_nonfinite", result.dropped["nonfinite"]),
-        ("dropped_nonpositive", result.dropped["nonpositive"]),
-    ]
+    ] + [(f"dropped_{reason}", count) for reason, count in result.dropped.items()]
 
 
 def write_fit_report(path: Path, fit: FitResult, spec: DatasetSpec,
                      ingested: IngestResult):
     sections = [
         ("dataset", _dataset_items(spec, ingested)),
-        ("parameters", [
-            ("top_fraction", fit.params.lam),
-            ("temperature", fit.params.temperature),
-            ("pareto_index", fit.params.alpha),
-            ("crossover_income", fit.crossover),
+        ("parameters", _model_items(fit.params.lam, fit.params.temperature,
+                                    fit.params.alpha, fit.crossover) + [
             ("search_fraction", fit.point.p),
             ("crossover_clamped", fit.crossover_clamped),
         ]),
@@ -265,30 +277,9 @@ def _summary_sections(summary: BootstrapSummary, settings: FitSettings,
         ("requested", summary.n_requested),
         ("effective", summary.n_effective),
     ])]
-    for name in INDICATORS:
-        if name not in summary.stats:
-            continue
-        s = summary.stats[name]
-        sections.append((name, [
-            ("mean", s.mean),
-            ("std", s.std),
-            ("ci_low", s.ci_low),
-            ("ci_high", s.ci_high),
-            ("cv", s.cv),
-        ]))
+    sections += [(name, _items(stats)) for name, stats in summary.stats.items()]
     sections.append(("config", _settings_items(settings, seed)))
     return sections
-
-
-def _write_bootstrap_outputs(out: Path, prefix: str, summary: BootstrapSummary,
-                             settings: FitSettings, seed: int):
-    name = f"summary_{prefix}.txt" if prefix else "summary.txt"
-    _write_sections(out / name, _summary_sections(summary, settings, seed))
-    rows = [(r.seed, r.crossover, r.top_fraction, r.temperature,
-             r.pareto_index, r.gini, r.train_rmsle, r.test_rmsle)
-            for r in summary.replicas]
-    name = f"replicas_{prefix}.csv" if prefix else "replicas.csv"
-    _write_csv(out / name, ["seed"] + list(INDICATORS), rows)
 
 
 def cmd_bootstrap(spec: DatasetSpec, n_replicas: int, out_dir: str | Path,
@@ -304,15 +295,13 @@ def cmd_bootstrap(spec: DatasetSpec, n_replicas: int, out_dir: str | Path,
     summaries: dict[str, BootstrapSummary] = {}
     for category, count in ingested.skipped_strata.items():
         print(f"{category}: skipped, {count} income(s), need at least 2")
-    if spec.stratify_by:
-        for category, sub in sorted(ingested.strata.items()):
-            summary = run_validation(sub, n_replicas, settings, seed=seed)
-            summaries[category] = summary
-            _write_bootstrap_outputs(out, category, summary, settings, seed)
-    else:
-        summary = run_validation(ingested.sample, n_replicas, settings, seed=seed)
-        summaries["all"] = summary
-        _write_bootstrap_outputs(out, "", summary, settings, seed)
+    groups = sorted(ingested.strata.items()) if spec.stratify_by else [("all", ingested.sample)]
+    for category, sub in groups:
+        summary = summaries[category] = run_validation(sub, n_replicas, settings, seed=seed)
+        suffix = f"_{category}" if spec.stratify_by else ""
+        _write_sections(out / f"summary{suffix}.txt",
+                        _summary_sections(summary, settings, seed))
+        _write_records(out / f"replicas{suffix}.csv", ReplicaRecord, summary.replicas)
     return summaries
 
 
@@ -326,20 +315,12 @@ def cmd_baseline(spec: DatasetSpec, lam0: float, out_dir: str | Path,
     base = fixed_proportion_fit(ingested.sample, lam0, settings.k,
                                 (settings.alpha_min, settings.alpha_max))
     _write_sections(out / "baseline.txt", [
-        ("optimal", [
-            ("top_fraction", fit.params.lam),
-            ("temperature", fit.params.temperature),
-            ("pareto_index", fit.params.alpha),
-            ("crossover_income", fit.crossover),
-            ("train_rmsle", fit.loss.rmsle),
-        ]),
-        ("fixed_proportion", [
-            ("top_fraction", base.top_fraction),
-            ("temperature", base.temperature),
-            ("pareto_index", base.pareto_index),
-            ("crossover_income", base.crossover),
-            ("train_rmsle", base.train_rmsle),
-        ]),
+        ("optimal", _model_items(fit.params.lam, fit.params.temperature,
+                                 fit.params.alpha, fit.crossover)
+         + [("train_rmsle", fit.loss.rmsle)]),
+        ("fixed_proportion", _model_items(base.top_fraction, base.temperature,
+                                          base.pareto_index, base.crossover)
+         + [("train_rmsle", base.train_rmsle)]),
         ("config", _settings_items(settings, seed)),
     ])
     return fit, base
@@ -383,40 +364,19 @@ def cmd_series(specs_by_year: dict[int, DatasetSpec], deflator_path: str | Path,
     samples = {year: ingest(spec).sample for year, spec in sorted(specs_by_year.items())}
     series = build_series(samples, deflators, reference_year, settings, seed=seed)
 
-    _write_csv(out / "series.csv",
-               ["year", "top_fraction", "temperature", "temperature_deflated",
-                "pareto_index", "crossover", "crossover_deflated",
-                "gini_theoretical", "gini_empirical"],
-               [(r.year, r.top_fraction, r.temperature, r.temperature_deflated,
-                 r.pareto_index, r.crossover, r.crossover_deflated,
-                 r.gini_theoretical, r.gini_empirical) for r in series.records])
+    _write_records(out / "series.csv", YearRecord, series.records)
 
     lam = series.column("top_fraction")
     alpha = series.column("pareto_index")
     g_theo = series.column("gini_theoretical")
     g_emp = series.column("gini_empirical")
-    corr_tail = pearson(lam, alpha, seed=seed)
-    corr_gini = pearson(g_theo, g_emp, seed=seed)
     _write_sections(out / "correlations.txt", [
-        ("pareto_index_vs_top_fraction", [
-            ("rho", corr_tail.rho), ("rho_std", corr_tail.rho_std),
-            ("p_value", corr_tail.p_value), ("n", corr_tail.n),
-        ]),
-        ("empirical_vs_theoretical_gini", [
-            ("rho", corr_gini.rho), ("rho_std", corr_gini.rho_std),
-            ("p_value", corr_gini.p_value), ("n", corr_gini.n),
-        ]),
+        ("pareto_index_vs_top_fraction", _items(pearson(lam, alpha, seed=seed))),
+        ("empirical_vs_theoretical_gini", _items(pearson(g_theo, g_emp, seed=seed))),
         ("config", _settings_items(settings, seed)),
     ])
-
-    reg = affine_regression(g_theo, g_emp)
     _write_sections(out / "regression.txt", [
-        ("empirical_gini_on_theoretical_gini", [
-            ("slope", reg.slope), ("slope_se", reg.slope_se),
-            ("intercept", reg.intercept), ("intercept_se", reg.intercept_se),
-            ("residual_se", reg.residual_se),
-            ("rho", reg.rho), ("p_value", reg.p_value), ("n", reg.n),
-        ]),
+        ("empirical_gini_on_theoretical_gini", _items(affine_regression(g_theo, g_emp))),
         ("config", _settings_items(settings, seed)),
     ])
 

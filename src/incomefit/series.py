@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy import stats as sstats
+from scipy.special import stdtr
 
 from .ccdf import IncomeSample
 from .fitting import FitSettings, fit_sample
@@ -49,16 +49,16 @@ class IndicatorSeries:
 @dataclass(frozen=True)
 class PearsonResult:
     rho: float
-    p_value: float
     rho_std: float
+    p_value: float
     n: int
 
 
 @dataclass(frozen=True)
 class AffineFit:
     slope: float
-    intercept: float
     slope_se: float
+    intercept: float
     intercept_se: float
     residual_se: float
     rho: float
@@ -121,7 +121,7 @@ def _t_test_p(rho: float, n: int) -> float:
     if abs(rho) >= 1.0:
         return 0.0
     t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-    return 2.0 * float(sstats.t.sf(abs(t), n - 2))
+    return 2.0 * float(stdtr(n - 2, -abs(t)))
 
 
 def pearson(xs, ys, n_boot: int = 1000, seed: int = 0) -> PearsonResult:
@@ -153,7 +153,7 @@ def pearson(xs, ys, n_boot: int = 1000, seed: int = 0) -> PearsonResult:
             continue
         draws.append(_rho(xb, yb))
     rho_std = float(np.std(draws, ddof=1)) if len(draws) > 1 else float("nan")
-    return PearsonResult(rho, p_value, rho_std, n)
+    return PearsonResult(rho, rho_std, p_value, n)
 
 
 def affine_regression(xs, ys) -> AffineFit:
@@ -182,5 +182,5 @@ def affine_regression(xs, ys) -> AffineFit:
     else:
         rho = _rho(x, y)
         p_value = _t_test_p(rho, n)
-    return AffineFit(slope, intercept, float(slope_se), float(intercept_se),
+    return AffineFit(slope, float(slope_se), intercept, float(intercept_se),
                      float(residual_se), rho, p_value, n)

@@ -3,6 +3,9 @@
 import csv
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -23,9 +26,10 @@ from incomefit import (
     model_ccdf,
     sample_incomes,
 )
+import incomefit
 from incomefit import pipeline as pipeline_module
 from incomefit import series as series_module
-from incomefit.cli import build_parser, main
+from incomefit.cli import _resolve_settings, build_parser, main
 
 QUICK = FitSettings(k=800, n_candidates=16, max_iters=50, refine_every=15,
                     refine_max_steps=30)
@@ -196,6 +200,99 @@ class TestCmdFit:
             float(value)  # raises on np.float64(...) and other wrapped forms
 
 
+def section_layout(path: Path) -> list[tuple[str, list[str]]]:
+    """The ``[section]`` titles of a report and each one's keys, in file order."""
+    layout = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("["):
+            layout.append((line[1:-1], []))
+        elif line:
+            layout[-1][1].append(line.split(" = ", 1)[0])
+    return layout
+
+
+def header_row(path: Path) -> list[str]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return next(csv.reader(fh))
+
+
+class TestOutputLayout:
+    """The columns, sections and keys that scripts reading the outputs rely on."""
+
+    TINY = FitSettings(k=800, n_candidates=8, max_iters=10, refine_every=0)
+    CONFIG = ["k", "n_candidates", "max_iters", "refine_every", "refine_max_steps",
+              "p_max", "alpha_min", "alpha_max", "t_lower_scale", "t_upper_scale", "seed"]
+    INDICATORS = ["crossover", "top_fraction", "temperature", "pareto_index", "gini",
+                  "train_rmsle", "test_rmsle"]
+    MODEL = ["top_fraction", "temperature", "pareto_index", "crossover_income"]
+
+    @pytest.fixture(scope="class")
+    def out(self, synth_csv, tmp_path_factory):
+        out = tmp_path_factory.mktemp("layout")
+        rng = np.random.default_rng(3)
+        strat = out / "strat.csv"
+        write_csv(strat, ["income,color", *(f"{v},{c}" for v, c in
+                                            zip(rng.exponential(1200.0, 600) + 1.0, "xy" * 300))])
+        for year in (2001, 2002, 2003):
+            cmd_synth(TwoClassParams(0.08, 1500.0, 1.6), 3_000, year, out / f"{year}.csv")
+        write_csv(out / "defl.csv", ["year,index", "2001,50.0", "2002,75.0", "2003,100.0"])
+        spec = DatasetSpec(str(synth_csv), "income")
+        cmd_fit(spec, out / "fit", self.TINY, seed=1)
+        cmd_bootstrap(spec, 2, out / "boot", self.TINY, seed=1)
+        cmd_bootstrap(DatasetSpec(str(strat), "income", stratify_by="color"), 2,
+                      out / "strat", self.TINY, seed=1)
+        cmd_baseline(spec, 0.05, out / "base", self.TINY, seed=1)
+        cmd_series({y: DatasetSpec(str(out / f"{y}.csv"), "income") for y in (2001, 2002, 2003)},
+                   out / "defl.csv", 2003, out / "series", self.TINY, seed=1)
+        return out
+
+    def test_series_header(self, out):
+        assert header_row(out / "series" / "series.csv") == [
+            "year", "top_fraction", "temperature", "temperature_deflated", "pareto_index",
+            "crossover", "crossover_deflated", "gini_theoretical", "gini_empirical"]
+
+    @pytest.mark.parametrize("name", ["boot/replicas.csv", "strat/replicas_x.csv",
+                                      "strat/replicas_y.csv"])
+    def test_replicas_header(self, out, name):
+        assert header_row(out / name) == ["seed", *self.INDICATORS]
+
+    @pytest.mark.parametrize("name", ["boot/summary.txt", "strat/summary_x.txt"])
+    def test_summary_sections(self, out, name):
+        stats = ["mean", "std", "ci_low", "ci_high", "cv"]
+        assert section_layout(out / name) == [
+            ("replicas", ["requested", "effective"]),
+            *((indicator, stats) for indicator in self.INDICATORS),
+            ("config", self.CONFIG)]
+
+    def test_correlations_sections(self, out):
+        keys = ["rho", "rho_std", "p_value", "n"]
+        assert section_layout(out / "series" / "correlations.txt") == [
+            ("pareto_index_vs_top_fraction", keys),
+            ("empirical_vs_theoretical_gini", keys),
+            ("config", self.CONFIG)]
+
+    def test_regression_sections(self, out):
+        assert section_layout(out / "series" / "regression.txt") == [
+            ("empirical_gini_on_theoretical_gini",
+             ["slope", "slope_se", "intercept", "intercept_se", "residual_se",
+              "rho", "p_value", "n"]),
+            ("config", self.CONFIG)]
+
+    def test_baseline_sections(self, out):
+        keys = [*self.MODEL, "train_rmsle"]
+        assert section_layout(out / "base" / "baseline.txt") == [
+            ("optimal", keys), ("fixed_proportion", keys), ("config", self.CONFIG)]
+
+    def test_report_dataset_and_parameters(self, out):
+        layout = dict(section_layout(out / "fit" / "report.txt"))
+        assert layout["dataset"] == [
+            "path", "income_column", "filters", "stratify_by", "rows_read", "incomes_used",
+            "dropped_filtered", "dropped_missing", "dropped_unparseable", "dropped_nonfinite",
+            "dropped_nonpositive"]
+        assert layout["parameters"] == [*self.MODEL, "search_fraction", "crossover_clamped"]
+        assert layout["config"] == self.CONFIG
+
+
 class TestCmdBootstrap:
     def test_summary_and_replica_table(self, synth_csv, tmp_path):
         out = tmp_path / "boot"
@@ -353,6 +450,47 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"max_iters": 3.9}', "max_iters"),
+        ('{"max_iters": true}', "max_iters"),
+        ('{"n_candidates": "4"}', "n_candidates"),
+    ])
+    def test_config_value_of_wrong_json_type(self, synth_csv, tmp_path, capsys, text, key):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(text)
+        code = main(["fit", str(synth_csv), "--out-dir", str(tmp_path / "o"),
+                     "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: config key {key}: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_float_config_key_takes_an_integer(self, tmp_path):
+        cfg = tmp_path / "int.json"
+        cfg.write_text('{"t_upper_scale": 3, "k": 500, "seed": 4}')
+        settings, seed = _resolve_settings(
+            build_parser().parse_args(["fit", "data.csv", "--config", str(cfg)]))
+        assert settings.t_upper_scale == 3.0 and type(settings.t_upper_scale) is float
+        assert settings.k == 500 and seed == 4
+
+    def test_short_row_under_stratify_by(self, tmp_path, capsys):
+        data = tmp_path / "short.csv"
+        write_csv(data, ["income,g", "100,a", "200,a", "3", "400,b"])
+        code = main(["bootstrap", str(data), "--stratify-by", "g", "-R", "2",
+                     "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "short.csv" in err
+        assert "line 4" in err and "'g'" in err
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        src = str(Path(incomefit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        probe = "import sys, incomefit.cli; print('scipy.stats' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
     def test_oversized_csv_field(self, tmp_path, capsys):
         data = tmp_path / "wide.csv"
