@@ -70,27 +70,26 @@ def bootstrap_pair(sample: IncomeSample, seed: int) -> tuple[IncomeSample, Incom
     """Train set of N draws with replacement plus the out-of-bag test set.
 
     Every original observation lands in exactly one side: drawn at least
-    once (train) or never (test). An empty test set triggers a redraw
-    with the incremented seed.
+    once (train) or never (test). Train repeats each income of the sorted
+    sample by its draw count and test holds the zero-count incomes. An
+    empty test set triggers a redraw with the incremented seed.
     """
-    n = sample.n
-    values = sample.values
+    asc, n = sample.ascending, sample.n
     current = seed
     while True:
         rng = np.random.default_rng(current)
-        idx = rng.integers(0, n, size=n)
-        mask = np.ones(n, dtype=bool)
-        mask[idx] = False
-        if mask.any():
-            return IncomeSample(values[idx]), IncomeSample(values[mask])
+        # the draws index the descending order; reversed, the counts line up with asc
+        counts = np.bincount(rng.integers(0, n, size=n), minlength=n)[::-1]
+        test = asc[counts == 0]
+        if test.size:
+            return IncomeSample(np.repeat(asc, counts)), IncomeSample(test)
         current += 1
 
 
 def _class_rmsle(params: TwoClassParams, sample: IncomeSample, k: int) -> float:
     """Log error of a fitted model on a sample's own class statistic."""
-    r, _ = FitContext(sample, k).log_residuals(params.temperature, params.crossover,
-                                               math.log(params.lam), params.alpha)
-    return float(np.sqrt(np.mean(r * r)))
+    return FitContext(sample, k).residual_rmsle(params.temperature, params.crossover,
+                                                math.log(params.lam), params.alpha)
 
 
 def run_validation(sample: IncomeSample, n_replicas: int,
@@ -169,13 +168,8 @@ def fixed_proportion_fit(sample: IncomeSample, lam0: float = 0.05,
     res = minimize_scalar(tail_error, bounds=alpha_bounds, method="bounded",
                           options={"xatol": 1e-4})
     alpha = float(res.x)
-
-    def two_part_rmsle(ctx: FitContext) -> float:
-        r, _ = ctx.log_residuals(temperature, m_c, log_lam0, alpha)
-        return float(np.sqrt(np.mean(r * r)))
-
-    train_rmsle = two_part_rmsle(context)
+    model = (temperature, m_c, log_lam0, alpha)
     test_rmsle = None
     if test_sample is not None:
-        test_rmsle = two_part_rmsle(FitContext(test_sample, k))
-    return BaselineFit(lam0, temperature, alpha, m_c, train_rmsle, test_rmsle)
+        test_rmsle = FitContext(test_sample, k).residual_rmsle(*model)
+    return BaselineFit(lam0, temperature, alpha, m_c, context.residual_rmsle(*model), test_rmsle)

@@ -28,15 +28,13 @@ class IncomeSample:
 
     Notes
     -----
-    The instance is treated as immutable after construction. Ascending
-    views and prefix sums are precomputed so restricted means cost
+    The read-only ascending array is the only sorted copy; ``values`` is
+    its descending view. Prefix sums make restricted means cost
     O(log N) per query.
     """
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1:
-            arr = arr.ravel()
+        arr = np.asarray(values, dtype=float).ravel()
         if arr.size < 2:
             raise ValueError("insufficient data: need at least 2 incomes, got %d" % arr.size)
         if not np.all(np.isfinite(arr)):
@@ -44,7 +42,7 @@ class IncomeSample:
         if np.any(arr <= 0):
             raise ValueError("incomes must be strictly positive")
         asc = np.sort(arr)
-        self.values = asc[::-1].copy()  # descending
+        asc.flags.writeable = False
         self.n = int(arr.size)
         self._ascending = asc
         # prefix[i] = sum of the i smallest incomes
@@ -54,6 +52,11 @@ class IncomeSample:
     @property
     def ascending(self) -> np.ndarray:
         return self._ascending
+
+    @property
+    def values(self) -> np.ndarray:
+        """The incomes in descending order, a view of ``ascending``."""
+        return self._ascending[::-1]
 
     def count_and_sum_below(self, cutoff):
         """Number and sum of incomes strictly below ``cutoff`` (scalar or array)."""
@@ -77,16 +80,16 @@ class EmpiricalCcdf:
     ascending order; the last one is excluded from loss sums by callers.
     """
 
-    def __init__(self, incomes: np.ndarray, fractions: np.ndarray,
-                 class_points: np.ndarray, n: int):
-        self.incomes = incomes          # distinct knot incomes, ascending
-        self.fractions = fractions      # C at each knot, decreasing
+    def __init__(self, ascending: np.ndarray, first: np.ndarray, class_points: np.ndarray):
+        self.n = int(ascending.size)
+        self.incomes = ascending[first]                 # distinct knot incomes, ascending
+        self.fractions = (self.n - first) / self.n      # C at each knot, decreasing
         self.class_points = class_points
         self.k = int(class_points.size)
-        self.n = int(n)
-        # interpolation tables for the inverse (fractions ascending)
-        self._fr_asc = fractions[::-1].copy()
-        self._inc_by_fr = incomes[::-1].copy()
+        self._ascending = ascending
+        # interpolation tables for income_at (fractions ascending)
+        self._fr_asc = self.fractions[::-1].copy()
+        self._inc_by_fr = self.incomes[::-1].copy()
 
     @property
     def min_fraction(self) -> float:
@@ -96,10 +99,7 @@ class EmpiricalCcdf:
     def evaluate(self, m):
         """C(m) for scalar or array ``m`` under the >= convention."""
         m_arr = np.asarray(m, dtype=float)
-        idx = np.searchsorted(self.incomes, m_arr, side="left")
-        frac = np.where(idx < self.incomes.size,
-                        self.fractions[np.minimum(idx, self.incomes.size - 1)],
-                        0.0)
+        frac = (self.n - np.searchsorted(self._ascending, m_arr, side="left")) / self.n
         if np.isscalar(m) or m_arr.ndim == 0:
             return float(frac)
         return frac
@@ -113,7 +113,11 @@ class EmpiricalCcdf:
         """
         if not 0.0 < p <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {p}")
-        return float(np.interp(p, self._fr_asc, self._inc_by_fr))
+        return float(self.income_at(p))
+
+    def income_at(self, p):
+        """Interpolated income at fraction(s) ``p``, without the range check of ``inverse``."""
+        return np.interp(p, self._fr_asc, self._inc_by_fr)
 
     def __repr__(self) -> str:
         return f"EmpiricalCcdf(knots={self.incomes.size}, k={self.k}, n={self.n})"
@@ -130,20 +134,16 @@ def class_statistic(sample: IncomeSample, k: int) -> np.ndarray:
         raise ValueError(f"class count must be positive, got {k}")
     n_obs = sample.n
     k = min(int(k), n_obs)
-    ranks = (np.arange(1, k + 1) * n_obs) // k  # 1-based descending ranks
-    points = sample.values[ranks - 1]
-    return points[::-1].copy()  # ascending
+    ranks = (np.arange(k, 0, -1) * n_obs) // k  # 1-based descending ranks, largest first
+    return sample.ascending[n_obs - ranks]
 
 
 def build_ccdf(sample: IncomeSample, k: int = DEFAULT_CLASS_POINTS) -> EmpiricalCcdf:
     """Construct the empirical CCDF and attach the class statistic."""
     asc = sample.ascending
-    distinct = np.unique(asc)
-    # count of values >= each distinct income
-    counts = sample.n - np.searchsorted(asc, distinct, side="left")
-    fractions = counts / sample.n
-    points = class_statistic(sample, k)
-    return EmpiricalCcdf(distinct, fractions, points, sample.n)
+    # a knot is the first index of a run of equal incomes; n minus it counts incomes >= it
+    first = np.concatenate(([0], np.flatnonzero(asc[1:] != asc[:-1]) + 1))
+    return EmpiricalCcdf(asc, first, class_statistic(sample, k))
 
 
 def inverse_ccdf(ccdf: EmpiricalCcdf, p: float) -> float:

@@ -124,6 +124,12 @@ class FitContext:
         log_model[split:] = log_lam - alpha * (self.fit_log_income[split:] - math.log(crossover))
         return self.fit_log_fraction - log_model, split
 
+    def residual_rmsle(self, temperature: float, crossover: float, log_lam: float,
+                       alpha: float) -> float:
+        """Root mean square of ``log_residuals`` over all fit points."""
+        r, _ = self.log_residuals(temperature, crossover, log_lam, alpha)
+        return float(np.sqrt(np.mean(r * r)))
+
     def _resolve(self, p, alpha, temperature):
         """Crossover, exponent z = m_c/T, both penalties and validity per search point.
 
@@ -133,8 +139,7 @@ class FitContext:
         compute garbage under errstate, which callers mask.
         """
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            # the interpolation of EmpiricalCcdf.inverse, without its range check
-            m_c = np.interp(p, self.ccdf._fr_asc, self.ccdf._inc_by_fr)
+            m_c = self.ccdf.income_at(p)
             z = m_c / temperature
             count, total = self.sample.count_and_sum_below(m_c)
             theo_mean = temperature - m_c / np.expm1(z)
@@ -151,8 +156,7 @@ class FitContext:
         if not ok[0]:
             return LossBreakdown.sentinel()
         m_c, z = float(m_c[0]), float(z[0])
-        residuals, _ = self.log_residuals(temperature, m_c, -z, alpha)
-        rmsle_val = float(np.sqrt(np.mean(residuals * residuals)))
+        rmsle_val = self.residual_rmsle(temperature, m_c, -z, alpha)
         mean_pen, frac_pen = float(mean_pen[0]), float(frac_pen[0])
         params = TwoClassParams(math.exp(-z), temperature, alpha)
         return LossBreakdown(rmsle_val, mean_pen, frac_pen,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
@@ -287,11 +288,16 @@ def cmd_bootstrap(spec: DatasetSpec, n_replicas: int, out_dir: str | Path,
                   seed: int = 0) -> dict[str, BootstrapSummary]:
     """Bootstrap validation of the whole sample and of each stratum.
 
-    A stratum with fewer than 2 incomes is skipped with one printed line.
+    A stratum with fewer than 2 incomes is skipped with one printed line;
+    a category holding a path separator is rejected before any fit.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ingested = ingest(spec)
+    separators = {"/", os.sep, os.altsep} - {None}
+    for category in ingested.strata:
+        if separators & set(category):
+            raise ValueError(f"--stratify-by category {category!r} holds a path separator")
     summaries: dict[str, BootstrapSummary] = {}
     for category, count in ingested.skipped_strata.items():
         print(f"{category}: skipped, {count} income(s), need at least 2")
@@ -389,15 +395,9 @@ def cmd_series(specs_by_year: dict[int, DatasetSpec], deflator_path: str | Path,
 
 def cmd_synth(params: TwoClassParams, n: int, seed: int, out_path: str | Path) -> Path:
     """Write n model draws as a single-column income CSV."""
-    if n < 1:
-        raise ValueError(f"sample size must be at least 1, got {n}")
     values = draw_incomes(params, n, seed)
     out = Path(out_path)
     if out.parent and not out.parent.exists():
         raise ValueError(f"output directory does not exist: {out.parent}")
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["income"])
-        for v in values:
-            writer.writerow([repr(float(v))])
+    _write_csv(out, ["income"], zip(values.tolist()))
     return out

@@ -69,6 +69,18 @@ class TestBootstrapPair:
         expected_test = sorted(set(s.values.tolist()) - drawn)
         assert sorted(test.values.tolist()) == expected_test
 
+    def test_pinned_to_direct_draw(self):
+        # tie-heavy incomes; the first draw at this seed leaves a non-empty test set
+        rng = np.random.default_rng(6)
+        s = IncomeSample(np.round(rng.exponential(size=300), 1) + 0.1)
+        idx = np.random.default_rng(8).integers(0, s.n, size=s.n)
+        undrawn = np.ones(s.n, dtype=bool)
+        undrawn[idx] = False
+        assert undrawn.any()
+        train, test = bootstrap_pair(s, seed=8)
+        assert train.ascending.tolist() == sorted(s.values[idx].tolist())
+        assert test.ascending.tolist() == sorted(s.values[undrawn].tolist())
+
     def test_deterministic(self):
         s = IncomeSample(np.arange(1.0, 51.0))
         a = bootstrap_pair(s, seed=11)

@@ -30,6 +30,12 @@ class TestIncomeSample:
         assert list(s.values) == [3.0, 2.0, 1.0]
         assert list(s.ascending) == [1.0, 2.0, 3.0]
 
+    def test_one_read_only_sorted_copy(self):
+        s = IncomeSample([3.0, 1.0, 2.0])
+        assert np.shares_memory(s.values, s.ascending)
+        with pytest.raises(ValueError, match="read-only"):
+            s.values[0] = 0.5
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             IncomeSample([1.0, 0.0])
@@ -61,11 +67,16 @@ class TestBuildCcdf:
         assert np.all(np.diff(vals) <= 0)
         assert np.all((vals > 0) | (grid > s.values[0]))
 
-    def test_ties_collapse_to_single_knots(self):
-        s = IncomeSample([1.0, 2.0, 2.0, 2.0, 3.0])
-        ccdf = build_ccdf(s)
-        assert list(ccdf.incomes) == [1.0, 2.0, 3.0]
-        assert list(ccdf.fractions) == [1.0, 0.8, 0.2]
+    @pytest.mark.parametrize("values", [
+        np.array([1.0, 2.0, 2.0, 2.0, 3.0]),
+        np.full(50, 7.5),
+        np.array([2.0, 9.0] * 30 + [9.0]),
+        np.round(np.random.default_rng(13).exponential(size=2000), 1) + 0.1,
+    ], ids=["five-values", "all-equal", "two-values", "rounded-exponential"])
+    def test_ties_collapse_to_single_knots(self, values):
+        ccdf = build_ccdf(IncomeSample(values))
+        assert np.array_equal(ccdf.incomes, np.unique(values))
+        assert ccdf.fractions.tolist() == [np.mean(values >= m) for m in ccdf.incomes]
 
 
 class TestClassStatistic:

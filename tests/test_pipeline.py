@@ -323,6 +323,24 @@ class TestCmdBootstrap:
         assert (out / "summary_y.txt").exists()
         assert (out / "replicas_x.csv").exists()
 
+    @pytest.mark.parametrize("category", ["a/b", "../esc"])
+    def test_category_with_path_separator_rejected_before_fitting(
+            self, category, tmp_path, monkeypatch, capsys):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a replica was fitted before the category was rejected")
+
+        monkeypatch.setattr(pipeline_module, "run_validation", no_fit)
+        path = tmp_path / "strat.csv"
+        write_csv(path, ["income,g"] + [f"{100.0 + i},{g}" for i in range(20)
+                                        for g in ("0first", category)])
+        out = tmp_path / "out"
+        code = main(["bootstrap", str(path), "--stratify-by", "g", "-R", "2",
+                     "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert repr(category) in err and "path separator" in err
+        assert list(out.iterdir()) == []
+
 
 class TestCmdSeries:
     def test_two_year_run(self, tmp_path):
