@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .ccdf import DEFAULT_CLASS_POINTS, IncomeSample
-from .fitting import FitError, FitSettings, fit_sample
+from .fitting import ALPHA_MIN, FitError, FitSettings, fit_sample
 from .model import TwoClassParams
 from .objective import FitContext
 
@@ -26,7 +25,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ReplicaRecord:
-    seed: int
+    replica: int                        # spawn index r: SeedSequence(seed).spawn(R)[r]
     crossover: float
     top_fraction: float
     temperature: float
@@ -36,7 +35,7 @@ class ReplicaRecord:
     test_rmsle: float
 
 
-INDICATORS = tuple(f.name for f in fields(ReplicaRecord))[1:]   # every field after seed
+INDICATORS = tuple(f.name for f in fields(ReplicaRecord))[1:]   # every field after replica
 
 
 @dataclass(frozen=True)
@@ -66,24 +65,23 @@ class BaselineFit:
     test_rmsle: float | None
 
 
-def bootstrap_pair(sample: IncomeSample, seed: int) -> tuple[IncomeSample, IncomeSample]:
+def bootstrap_pair(sample: IncomeSample, seed: int | np.random.SeedSequence
+                   ) -> tuple[IncomeSample, IncomeSample]:
     """Train set of N draws with replacement plus the out-of-bag test set.
 
     Every original observation lands in exactly one side: drawn at least
     once (train) or never (test). Train repeats each income of the sorted
     sample by its draw count and test holds the zero-count incomes. An
-    empty test set triggers a redraw with the incremented seed.
+    empty test set triggers a fresh draw from the same generator.
     """
     asc, n = sample.ascending, sample.n
-    current = seed
+    rng = np.random.default_rng(seed)
     while True:
-        rng = np.random.default_rng(current)
         # the draws index the descending order; reversed, the counts line up with asc
         counts = np.bincount(rng.integers(0, n, size=n), minlength=n)[::-1]
         test = asc[counts == 0]
         if test.size:
             return IncomeSample(np.repeat(asc, counts)), IncomeSample(test)
-        current += 1
 
 
 def _class_rmsle(params: TwoClassParams, sample: IncomeSample, k: int) -> float:
@@ -97,26 +95,26 @@ def run_validation(sample: IncomeSample, n_replicas: int,
                    seed: int = 0) -> BootstrapSummary:
     """Fit R bootstrap replicas and aggregate the indicator distributions.
 
-    Replica seeds derive from the master seed and the replica index
-    (resampling on even offsets, the swarm on odd ones), so replicas are
-    reproducible independently of execution order. Replicas whose fit is
-    degenerate are dropped and logged; the summary reports the effective
-    count.
+    Replica r draws from child r of ``SeedSequence(seed).spawn(R)``,
+    itself split into a resampling and a swarm stream, so every stream is
+    independent within a run and across master seeds, and each replica
+    is reproducible on its own. Replicas whose fit is degenerate are
+    dropped and logged; the summary reports the effective count.
     """
     if n_replicas < 2:
         raise ValueError(f"need at least 2 replicas, got {n_replicas}")
     replicas: list[ReplicaRecord] = []
-    for r in range(n_replicas):
-        pair_seed = seed + 2 * r
+    for r, stream in enumerate(np.random.SeedSequence(seed).spawn(n_replicas)):
+        resample, swarm = stream.spawn(2)
         try:
-            train, test = bootstrap_pair(sample, pair_seed)
-            fit = fit_sample(train, settings, seed=pair_seed + 1)
+            train, test = bootstrap_pair(sample, resample)
+            fit = fit_sample(train, settings, seed=swarm)
             test_rmsle = _class_rmsle(fit.params, test, settings.k)
         except (FitError, ValueError) as exc:
             log.warning("replica %d dropped: %s", r, exc)
             continue
         replicas.append(ReplicaRecord(
-            seed=pair_seed,
+            replica=r,
             crossover=fit.crossover,
             top_fraction=fit.params.lam,
             temperature=fit.params.temperature,
@@ -140,13 +138,13 @@ def run_validation(sample: IncomeSample, n_replicas: int,
 
 def fixed_proportion_fit(sample: IncomeSample, lam0: float = 0.05,
                          k: int = DEFAULT_CLASS_POINTS,
-                         alpha_bounds: tuple[float, float] = (1.0, 3.0),
+                         alpha_bounds: tuple[float, float] = (ALPHA_MIN, FitSettings.alpha_max),
                          test_sample: IncomeSample | None = None) -> BaselineFit:
     """Baseline with the tail share pinned at ``lam0``.
 
     Temperature is the whole-sample mean, the crossover is the
     interpolated CCDF inverse at lam0, and only the tail index is
-    fitted, by a bounded 1-D search minimizing the tail log error. The
+    fitted, to the least tail log error within ``alpha_bounds``. The
     resulting two-part model is generally discontinuous at the
     crossover.
     """
@@ -155,19 +153,18 @@ def fixed_proportion_fit(sample: IncomeSample, lam0: float = 0.05,
     context = FitContext(sample, k)
     temperature = sample.mean
     m_c = context.ccdf.inverse(lam0)
-    n_tail = context.fit_points.size - int(np.searchsorted(context.fit_points, m_c))
+    split = int(np.searchsorted(context.fit_points, m_c))
+    g = context.fit_log_income[split:] - math.log(m_c)
+    # only points above the crossover carry the slope; with none, alpha is undefined
+    n_tail = int(np.count_nonzero(g > 0.0))
     if n_tail < 10:
         raise ValueError(f"only {n_tail} class points above the crossover; "
                          "need at least 10 to fit the tail index")
     log_lam0 = np.log(lam0)
-
-    def tail_error(alpha: float) -> float:
-        r, split = context.log_residuals(temperature, m_c, log_lam0, alpha)
-        return float(np.mean(r[split:] ** 2))
-
-    res = minimize_scalar(tail_error, bounds=alpha_bounds, method="bounded",
-                          options={"xatol": 1e-4})
-    alpha = float(res.x)
+    # the tail residual r0 + alpha*g is linear in alpha, so its square is a
+    # parabola whose minimiser over the range is the clipped slope
+    r0 = context.fit_log_fraction[split:] - log_lam0
+    alpha = float(np.clip(-(r0 @ g) / (g @ g), *alpha_bounds))
     model = (temperature, m_c, log_lam0, alpha)
     test_rmsle = None
     if test_sample is not None:

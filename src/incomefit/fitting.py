@@ -13,6 +13,13 @@ from .objective import FitContext, LossBreakdown, SearchPoint
 from .swarm import OptimizeResult, SwarmConfig, optimize
 
 
+# The search box of every fit: the Pareto class holds at most a fifth of
+# people, a finite mean needs alpha > 1, and T lies near the sample mean.
+P_MAX = 0.2
+ALPHA_MIN = 1.0
+T_SCALES = (0.5, 2.0)
+
+
 @dataclass(frozen=True)
 class FitSettings:
     """Everything that shapes a fit apart from the data and the seed."""
@@ -22,22 +29,28 @@ class FitSettings:
     max_iters: int = 200
     refine_every: int = 10
     refine_max_steps: int = 100
-    p_max: float = 0.2
-    alpha_min: float = 1.0
     alpha_max: float = 3.0
-    t_lower_scale: float = 0.5
-    t_upper_scale: float = 2.0
 
-    def swarm_config(self, mean_income: float, seed: int) -> SwarmConfig:
-        """Swarm over the search box of this fit.
+    def __post_init__(self):
+        floors = {"k": 2, "n_candidates": 2, "max_iters": 1, "refine_every": 0,
+                  "refine_max_steps": 0}
+        for name, floor in floors.items():
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name} must be at least {floor}, got {getattr(self, name)}")
+        if not ALPHA_MIN < self.alpha_max < math.inf:
+            raise ValueError(f"alpha_max must be finite and above {ALPHA_MIN}, "
+                             f"got {self.alpha_max}")
 
-        p in (0, p_max], its open lower edge a small positive bound;
-        alpha in [alpha_min, alpha_max]; T in [t_lower_scale,
-        t_upper_scale] times the sample mean.
+    def swarm_config(self, mean_income: float,
+                     seed: int | np.random.SeedSequence) -> SwarmConfig:
+        """Swarm over the shared search box.
+
+        p in (0, P_MAX], its open lower edge a small positive bound;
+        alpha in [ALPHA_MIN, alpha_max]; T in T_SCALES times the sample
+        mean.
         """
-        bounds = [[1e-6, self.p_max],
-                  [self.alpha_min, self.alpha_max],
-                  [self.t_lower_scale * mean_income, self.t_upper_scale * mean_income]]
+        bounds = [[1e-6, P_MAX], [ALPHA_MIN, self.alpha_max],
+                  [T_SCALES[0] * mean_income, T_SCALES[1] * mean_income]]
         return SwarmConfig(bounds=bounds, n_candidates=self.n_candidates,
                            max_iters=self.max_iters, seed=seed,
                            refine_every=self.refine_every,
@@ -57,7 +70,7 @@ class FitResult:
     rmsle_pareto: float
     n_pareto: int
     crossover_clamped: bool
-    seed: int
+    seed: int | np.random.SeedSequence
     settings: FitSettings
     trace: list[float] = field(default_factory=list)
     trace_points: list[np.ndarray] = field(default_factory=list)
@@ -85,7 +98,8 @@ def region_rmsle(context: FitContext,
 
 
 def fit_sample(sample: IncomeSample, settings: FitSettings = FitSettings(),
-               seed: int = 0, context: FitContext | None = None) -> FitResult:
+               seed: int | np.random.SeedSequence = 0,
+               context: FitContext | None = None) -> FitResult:
     """Fit the two-class model by swarm search over (p, alpha, T).
 
     Raises FitError when the best point found is still degenerate (for

@@ -23,7 +23,7 @@ from .bootstrap import (
     fixed_proportion_fit,
     run_validation,
 )
-from .fitting import FitResult, FitSettings, fit_sample
+from .fitting import ALPHA_MIN, FitResult, FitSettings, fit_sample
 from .model import TwoClassParams, draw_incomes, model_ccdf
 from .objective import FitContext
 from .series import (
@@ -319,7 +319,7 @@ def cmd_baseline(spec: DatasetSpec, lam0: float, out_dir: str | Path,
     ingested = ingest(spec)
     fit = fit_sample(ingested.sample, settings, seed=seed)
     base = fixed_proportion_fit(ingested.sample, lam0, settings.k,
-                                (settings.alpha_min, settings.alpha_max))
+                                (ALPHA_MIN, settings.alpha_max))
     _write_sections(out / "baseline.txt", [
         ("optimal", _model_items(fit.params.lam, fit.params.temperature,
                                  fit.params.alpha, fit.crossover)

@@ -86,15 +86,15 @@ def build_series(samples_by_year: Mapping[int, IncomeSample],
 
     Deflated value = nominal value * (reference-year index / year index).
     Both the temperature and the crossover carry currency units, so both
-    are deflated. Years are processed in ascending order with a
-    deterministic per-year seed offset.
+    are deflated. Years are processed in ascending order; year i is
+    fitted with child i of ``SeedSequence(seed).spawn(len(years))``.
     """
     years = sorted(samples_by_year)
     check_deflators(deflators, years, reference_year)
     ref_index = float(deflators[reference_year])
     records = []
-    for i, year in enumerate(years):
-        fit = fit_sample(samples_by_year[year], settings, seed=seed + i)
+    for year, stream in zip(years, np.random.SeedSequence(seed).spawn(len(years))):
+        fit = fit_sample(samples_by_year[year], settings, seed=stream)
         factor = ref_index / float(deflators[year])
         records.append(YearRecord(
             year=year,

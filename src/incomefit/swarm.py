@@ -35,7 +35,7 @@ class SwarmConfig:
     bounds: np.ndarray                  # (d, 2) [lo, hi] per dimension
     n_candidates: int = 40
     max_iters: int = 200
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0
     refine_every: int = 10              # 0 disables periodic refinement
     refine_max_steps: int = 100
 
@@ -43,6 +43,8 @@ class SwarmConfig:
         self.bounds = np.asarray(self.bounds, dtype=float)
         if self.bounds.ndim != 2 or self.bounds.shape[1] != 2:
             raise ValueError("bounds must be a (d, 2) array")
+        if not np.all(np.isfinite(self.bounds)):
+            raise ValueError("bounds must be finite")
         if np.any(self.bounds[:, 0] >= self.bounds[:, 1]):
             raise ValueError("each bound must satisfy lo < hi")
         if self.n_candidates < 2:

@@ -1,5 +1,7 @@
 """Bootstrap pairing, validation summaries and the fixed-proportion baseline."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from incomefit import (
     sample_incomes,
 )
 from incomefit.bootstrap import INDICATORS, _class_rmsle
+from incomefit.objective import FitContext
 
 QUICK = FitSettings(k=600, n_candidates=16, max_iters=50, refine_every=15,
                     refine_max_steps=30)
@@ -51,21 +54,21 @@ class TestBootstrapPair:
             fractions.append(len(np.unique(train.values)) / s.n)
         assert np.mean(fractions) == pytest.approx(1 - np.exp(-1), abs=0.01)
 
-    def test_empty_test_redraws_with_next_seed(self):
+    def test_empty_test_redraws_from_same_generator(self):
         s = IncomeSample([1.0, 2.0, 3.0, 4.0])
-        # find a seed whose first draw covers every index (test would be empty)
-        cover_seed = None
-        for seed in range(10_000):
-            idx = np.random.default_rng(seed).integers(0, 4, size=4)
-            if len(set(idx.tolist())) == 4:
-                cover_seed = seed
-                break
-        assert cover_seed is not None
+
+        def first_two_draws(seed):
+            rng = np.random.default_rng(seed)
+            return rng.integers(0, 4, size=4), rng.integers(0, 4, size=4)
+
+        # a seed whose first draw covers every index (test would be empty)
+        # and whose second draw leaves out two, the least a sample holds
+        cover_seed = next(seed for seed in range(10_000)
+                          if len(set(first_two_draws(seed)[0].tolist())) == 4
+                          and len(set(first_two_draws(seed)[1].tolist())) <= 2)
         train, test = bootstrap_pair(s, seed=cover_seed)
-        assert test.n >= 1
-        # result must match a fresh draw at the incremented seed
-        idx2 = np.random.default_rng(cover_seed + 1).integers(0, 4, size=4)
-        drawn = set(s.values[idx2].tolist())
+        # result must match the second draw of the same generator
+        drawn = set(s.values[first_two_draws(cover_seed)[1]].tolist())
         expected_test = sorted(set(s.values.tolist()) - drawn)
         assert sorted(test.values.tolist()) == expected_test
 
@@ -130,6 +133,15 @@ class TestRunValidation:
         assert [r.top_fraction for r in a.replicas] == [r.top_fraction for r in b.replicas]
         assert [r.test_rmsle for r in a.replicas] == [r.test_rmsle for r in b.replicas]
 
+    def test_master_seeds_share_no_replica(self):
+        # replica streams are spawned, not offset: seeds 0 and 2 used to
+        # share 9 of 10 replicas
+        sample = sample_incomes(TwoClassParams(0.08, 1800.0, 1.5), 3_000, seed=8)
+        a, b = (run_validation(sample, 10, QUICK, seed=seed) for seed in (0, 2))
+        rows = {astuple(r)[1:] for r in a.replicas}
+        assert not rows & {astuple(r)[1:] for r in b.replicas}
+        assert [r.replica for r in a.replicas] == list(range(10))
+
     def test_degenerate_sample_yields_zero_effective(self):
         sample = IncomeSample([7.0] * 60)
         summary = run_validation(sample, 5, QUICK, seed=1)
@@ -192,6 +204,32 @@ class TestFixedProportionBaseline:
         assert base.temperature == sample.mean
         assert base.top_fraction == 0.05
 
+    @pytest.mark.parametrize("seed, lam0, k", [(13, 0.05, 1500), (14, 0.02, 800),
+                                               (15, 0.15, 3000)])
+    def test_alpha_minimises_tail_error(self, seed, lam0, k):
+        sample = sample_incomes(TwoClassParams(0.10, 1800.0, 1.8), 20_000, seed=seed)
+        base = fixed_proportion_fit(sample, lam0, k=k)
+        context = FitContext(sample, k)
+
+        def tail_error(alpha):
+            r, split = context.log_residuals(base.temperature, base.crossover,
+                                             np.log(lam0), alpha)
+            return np.mean(r[split:] ** 2)
+
+        assert 1.0 < base.pareto_index < 3.0
+        for step in (1e-6, -1e-6):
+            assert tail_error(base.pareto_index + step) >= tail_error(base.pareto_index)
+
+    @pytest.mark.parametrize("bounds", [(1.0, 3.0), (2.5, 3.5), (1.0, 1.5)])
+    def test_slope_past_range_returns_the_bound(self, bounds):
+        # the baseline premises pin the generating index at 1 + ln 20 = 4.0,
+        # past every range here, so the least error sits on the upper bound
+        truth = TwoClassParams(0.05, 1500.0, 1 + np.log(20.0))
+        sample = sample_incomes(truth, 20_000, seed=3)
+        assert fixed_proportion_fit(sample, 0.05, alpha_bounds=bounds).pareto_index == bounds[1]
+        # a range above the slope returns its lower bound
+        assert fixed_proportion_fit(sample, 0.05, alpha_bounds=(4.5, 5.0)).pareto_index == 4.5
+
     def test_baseline_crossover_is_log20_quantile(self):
         truth = TwoClassParams(0.05, 1500.0, 1 + np.log(20.0))
         sample = sample_incomes(truth, 100_000, seed=3)
@@ -228,6 +266,10 @@ class TestFixedProportionBaseline:
         sample = IncomeSample(np.linspace(1.0, 100.0, 40))
         with pytest.raises(ValueError, match="class points"):
             fixed_proportion_fit(sample, 0.05, k=40)
+        # a tied top tenth puts every tail point at the crossover itself
+        tied = IncomeSample([*np.arange(1.0, 901.0), *[5000.0] * 100])
+        with pytest.raises(ValueError, match="only 0 class points"):
+            fixed_proportion_fit(tied, 0.05, k=1000)
 
     def test_invalid_proportion_rejected(self):
         sample = IncomeSample(np.linspace(1.0, 100.0, 40))

@@ -221,7 +221,7 @@ class TestOutputLayout:
 
     TINY = FitSettings(k=800, n_candidates=8, max_iters=10, refine_every=0)
     CONFIG = ["k", "n_candidates", "max_iters", "refine_every", "refine_max_steps",
-              "p_max", "alpha_min", "alpha_max", "t_lower_scale", "t_upper_scale", "seed"]
+              "alpha_max", "seed"]
     INDICATORS = ["crossover", "top_fraction", "temperature", "pareto_index", "gini",
                   "train_rmsle", "test_rmsle"]
     MODEL = ["top_fraction", "temperature", "pareto_index", "crossover_income"]
@@ -254,7 +254,7 @@ class TestOutputLayout:
     @pytest.mark.parametrize("name", ["boot/replicas.csv", "strat/replicas_x.csv",
                                       "strat/replicas_y.csv"])
     def test_replicas_header(self, out, name):
-        assert header_row(out / name) == ["seed", *self.INDICATORS]
+        assert header_row(out / name) == ["replica", *self.INDICATORS]
 
     @pytest.mark.parametrize("name", ["boot/summary.txt", "strat/summary_x.txt"])
     def test_summary_sections(self, out, name):
@@ -303,7 +303,7 @@ class TestCmdBootstrap:
         assert "[config]" in summary_text and "seed = 2" in summary_text
         lines = (out / "replicas.csv").read_text().strip().splitlines()
         assert len(lines) == 5  # header + 4 replicas
-        assert lines[0].startswith("seed,crossover,top_fraction")
+        assert lines[0].startswith("replica,crossover,top_fraction")
 
     def test_stratified_two_summaries(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -434,7 +434,8 @@ class TestSeriesInput:
 
 class TestCli:
     SETTINGS = {"k", "n_candidates", "max_iters", "refine_every", "refine_max_steps",
-                "p_max", "alpha_min", "alpha_max", "t_lower_scale", "t_upper_scale"}
+                "alpha_max"}
+    REMOVED = ["p_max", "alpha_min", "t_lower_scale", "t_upper_scale"]
 
     def test_settings_surface(self, synth_csv, tmp_path):
         parsed = vars(build_parser().parse_args(["fit", "data.csv"]))
@@ -448,13 +449,44 @@ class TestCli:
         assert config_keys - {"seed"} == self.SETTINGS
         assert {f.name for f in fields(FitSettings)} == self.SETTINGS
 
-    def test_unknown_config_key(self, synth_csv, tmp_path, capsys):
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_removed_box_flag_rejected(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "data.csv", f"--{name.replace('_', '-')}", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["c1", *REMOVED])
+    def test_unknown_config_key(self, synth_csv, tmp_path, capsys, key):
         cfg = tmp_path / "swarm.json"
-        cfg.write_text(json.dumps({"k": 400, "c1": 1.5}))
+        cfg.write_text(json.dumps({"k": 400, key: 1.5}))
         code = main(["fit", str(synth_csv), "--out-dir", str(tmp_path / "o"),
                      "--config", str(cfg)])
         assert code == 1
-        assert "unknown config key: c1" in capsys.readouterr().err
+        assert f"unknown config key: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, config, name", [
+        (["--k", "1"], None, "k"),
+        (["--n-candidates", "1"], None, "n_candidates"),
+        (["--max-iters", "0"], None, "max_iters"),
+        (["--refine-every", "-1"], None, "refine_every"),
+        (["--refine-max-steps", "-1"], None, "refine_max_steps"),
+        (["--alpha-max", "inf"], None, "alpha_max"),
+        (["--alpha-max", "nan"], None, "alpha_max"),
+        (["--alpha-max", "1"], None, "alpha_max"),
+        ([], '{"alpha_max": 1e999}', "alpha_max"),
+    ])
+    def test_bad_setting_rejected_before_any_output(self, synth_csv, tmp_path, capsys,
+                                                    flags, config, name):
+        if config is not None:
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(config)
+            flags = [*flags, "--config", str(cfg)]
+        code = main(["fit", str(synth_csv), "--out-dir", str(tmp_path / "o"), *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {name} must be ")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text, named", [
         ('{"k": null}', "config key k"),
@@ -485,10 +517,10 @@ class TestCli:
 
     def test_float_config_key_takes_an_integer(self, tmp_path):
         cfg = tmp_path / "int.json"
-        cfg.write_text('{"t_upper_scale": 3, "k": 500, "seed": 4}')
+        cfg.write_text('{"alpha_max": 4, "k": 500, "seed": 4}')
         settings, seed = _resolve_settings(
             build_parser().parse_args(["fit", "data.csv", "--config", str(cfg)]))
-        assert settings.t_upper_scale == 3.0 and type(settings.t_upper_scale) is float
+        assert settings.alpha_max == 4.0 and type(settings.alpha_max) is float
         assert settings.k == 500 and seed == 4
 
     def test_short_row_under_stratify_by(self, tmp_path, capsys):

@@ -56,6 +56,17 @@ class TestBuildSeries:
         assert rec.gini_theoretical == pytest.approx(
             theoretical_gini(rec.top_fraction, rec.pareto_index), rel=1e-12)
 
+    def test_year_streams_differ_across_master_seeds(self):
+        # year i used to be fitted with seed + i, so year 1 under seed 0 and
+        # year 0 under seed 1 got the same fit
+        sample = sample_incomes(TwoClassParams(0.08, 1500.0, 1.6), 5_000, seed=7)
+        defl = {2001: 1.0, 2002: 1.0}
+        a = build_series({2001: sample, 2002: sample}, defl, 2001, QUICK, seed=0)
+        b = build_series({2001: sample, 2002: sample}, defl, 2001, QUICK, seed=1)
+        fitted = ("top_fraction", "temperature", "pareto_index")
+        assert ([getattr(a.records[1], name) for name in fitted]
+                != [getattr(b.records[0], name) for name in fitted])
+
     def test_recovers_drifting_tail_index(self):
         # five years with the index drifting 1.4 -> 2.0: the recovered
         # series must rise overall with no step dropping below noise
