@@ -71,16 +71,20 @@ def bootstrap_pair(sample: IncomeSample, seed: int | np.random.SeedSequence
 
     Every original observation lands in exactly one side: drawn at least
     once (train) or never (test). Train repeats each income of the sorted
-    sample by its draw count and test holds the zero-count incomes. An
-    empty test set triggers a fresh draw from the same generator.
+    sample by its draw count and test holds the zero-count incomes. A
+    test set of fewer than 2 incomes, too few for a sample, triggers a
+    fresh draw from the same generator; a sample of under 3 incomes can
+    never leave 2 out, and is rejected.
     """
     asc, n = sample.ascending, sample.n
+    if n < 3:
+        raise ValueError(f"need at least 3 incomes to leave 2 out of bag, got {n}")
     rng = np.random.default_rng(seed)
     while True:
         # the draws index the descending order; reversed, the counts line up with asc
         counts = np.bincount(rng.integers(0, n, size=n), minlength=n)[::-1]
         test = asc[counts == 0]
-        if test.size:
+        if test.size >= 2:
             return IncomeSample(np.repeat(asc, counts)), IncomeSample(test)
 
 

@@ -12,6 +12,8 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
+from itertools import compress, islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,7 @@ from .series import (
 )
 
 CURVE_POINTS_PER_BRANCH = 500
+CHUNK_ROWS = 1024                       # rows parsed per batch by ingest
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,107 @@ def _parsing(path, reader):
     try:
         yield reader
     except csv.Error as exc:
-        # a DictReader counts a line only once it parses; its inner parser counts on reading
-        line = getattr(reader, "reader", reader).line_num
-        raise ValueError(f"{path}, line {line}: {exc}") from None
+        raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """Where the columns a spec uses sit in the header, found once."""
+
+    income: int
+    filters: tuple[tuple[int, str], ...]
+    stratum: int | None
+    width: int                          # fields a row needs to hold every used column
+
+    @classmethod
+    def locate(cls, spec: DatasetSpec, header: list[str] | None) -> _Columns:
+        if header is None or spec.income_column not in header:
+            raise ValueError(f"income column {spec.income_column!r} not found in {spec.path}")
+        others = list(spec.filters) + ([spec.stratify_by] if spec.stratify_by else [])
+        for col in others:
+            if col not in header:
+                raise ValueError(f"column {col!r} not found in {spec.path}")
+        used = [spec.income_column, *others]
+        for col in used:
+            if header.count(col) > 1:
+                raise ValueError(f"column {col!r} appears {header.count(col)} times "
+                                 f"in the header of {spec.path}")
+        at = {col: header.index(col) for col in used}
+        return cls(at[spec.income_column],
+                   tuple((at[col], value) for col, value in spec.filters.items()),
+                   at[spec.stratify_by] if spec.stratify_by else None,
+                   max(at.values()) + 1)
+
+
+def _row_line(path: str, ordinal: int) -> int:
+    """The line on which the ``ordinal``-th non-blank data row of a CSV ends.
+
+    Read again from the file, and only to word an error.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        next(islice(filter(None, reader), ordinal - 1, None))
+        return reader.line_num
+
+
+def _parse_rows(rows: list[list[str]], columns: _Columns, spec: DatasetSpec,
+                dropped: dict[str, int], rows_before: int) -> tuple[np.ndarray, list[str]]:
+    """Usable incomes of some non-blank rows, and their categories under ``--stratify-by``.
+
+    Drops are added to ``dropped``. A chunk whose rows all hold every
+    used column and whose selected incomes all parse takes the vectorised
+    path; any other chunk is re-read row by row, where a short row's
+    missing fields read as ``None``.
+    """
+    if rows and min(map(len, rows)) >= columns.width:
+        kept = rows
+        for at, value in columns.filters:
+            kept = [row for row in kept if row[at] == value]
+        try:
+            parsed = np.fromiter(map(float, map(itemgetter(columns.income), kept)),
+                                 dtype=float, count=len(kept))
+        except ValueError:
+            pass                        # a missing or unparseable income: re-read below
+        else:
+            finite = np.isfinite(parsed)
+            usable = finite & (parsed > 0.0)
+            n_finite, n_usable = int(finite.sum()), int(usable.sum())
+            dropped["filtered"] += len(rows) - len(kept)
+            dropped["nonfinite"] += len(kept) - n_finite
+            dropped["nonpositive"] += n_finite - n_usable
+            labels = ([] if columns.stratum is None else
+                      list(compress(map(itemgetter(columns.stratum), kept), usable.tolist())))
+            return parsed[usable], labels
+    incomes: list[float] = []
+    labels = []
+    for offset, row in enumerate(rows, start=rows_before + 1):
+        row = row + [None] * (columns.width - len(row))
+        if any(row[at] != value for at, value in columns.filters):
+            dropped["filtered"] += 1
+            continue
+        raw = (row[columns.income] or "").strip()
+        if raw == "":
+            dropped["missing"] += 1
+            continue
+        try:
+            value = float(raw)
+        except ValueError:
+            dropped["unparseable"] += 1
+            continue
+        if not math.isfinite(value):
+            dropped["nonfinite"] += 1
+            continue
+        if not value > 0.0:
+            dropped["nonpositive"] += 1
+            continue
+        if columns.stratum is not None:
+            if row[columns.stratum] is None:
+                raise ValueError(f"{spec.path}, line {_row_line(spec.path, offset)}: "
+                                 f"no value in column {spec.stratify_by!r}")
+            labels.append(row[columns.stratum])
+        incomes.append(value)
+    return np.array(incomes, dtype=float), labels
 
 
 def ingest(spec: DatasetSpec) -> IngestResult:
@@ -77,63 +178,55 @@ def ingest(spec: DatasetSpec) -> IngestResult:
     literals such as ``1e400``) and non-positive incomes are dropped with
     per-reason counts. Retained incomes keep their source values
     exactly. Strata with fewer than 2 incomes are left out and recorded
-    in ``skipped_strata``.
+    in ``skipped_strata``. Blank lines are skipped without counting, a
+    leading UTF-8 byte-order mark is ignored, and a header naming a used
+    column twice is rejected.
+
+    The rows are read ``CHUNK_ROWS`` at a time, so memory holds one
+    chunk of rows, never the whole file.
     """
     dropped = {"filtered": 0, "missing": 0, "unparseable": 0, "nonfinite": 0,
                "nonpositive": 0}
-    incomes: list[float] = []
+    chunks: list[np.ndarray] = []
     labels: list[str] = []
-    with (open(spec.path, newline="", encoding="utf-8") as fh,
-          _parsing(spec.path, csv.DictReader(fh)) as reader):
-        if reader.fieldnames is None or spec.income_column not in reader.fieldnames:
-            raise ValueError(f"income column {spec.income_column!r} not found in {spec.path}")
-        for col in list(spec.filters) + ([spec.stratify_by] if spec.stratify_by else []):
-            if col not in reader.fieldnames:
-                raise ValueError(f"column {col!r} not found in {spec.path}")
-        n_rows = 0
-        for row in reader:
-            n_rows += 1
-            if any(row[col] != val for col, val in spec.filters.items()):
-                dropped["filtered"] += 1
-                continue
-            raw = (row[spec.income_column] or "").strip()
-            if raw == "":
-                dropped["missing"] += 1
-                continue
+    n_rows = 0
+    with (open(spec.path, newline="", encoding="utf-8-sig") as fh,
+          _parsing(spec.path, csv.reader(fh)) as reader):
+        columns = _Columns.locate(spec, next(reader, None))
+        while True:
+            batch: list[list[str]] = []
+            error = None
             try:
-                value = float(raw)
-            except ValueError:
-                dropped["unparseable"] += 1
-                continue
-            if not math.isfinite(value):
-                dropped["nonfinite"] += 1
-                continue
-            if not value > 0.0:
-                dropped["nonpositive"] += 1
-                continue
-            incomes.append(value)
-            if spec.stratify_by:
-                label = row[spec.stratify_by]
-                if label is None:   # a short row: DictReader fills missing fields with None
-                    raise ValueError(f"{spec.path}, line {reader.line_num}: "
-                                     f"no value in column {spec.stratify_by!r}")
-                labels.append(label)
-    if len(incomes) < 2:
+                batch.extend(islice(reader, CHUNK_ROWS))
+            except (csv.Error, ValueError) as exc:
+                # a parse or decoding error: the rows before it are used first,
+                # so an error among them is the one raised
+                error = exc
+            rows = [row for row in batch if row]
+            usable, usable_labels = _parse_rows(rows, columns, spec, dropped, n_rows)
+            chunks.append(usable)
+            labels += usable_labels
+            n_rows += len(rows)
+            if error is not None:
+                raise error
+            if len(batch) < CHUNK_ROWS:
+                break
+    incomes = np.concatenate(chunks)
+    if incomes.size < 2:
         raise ValueError(f"no usable incomes in {spec.path} "
                          f"(rows read: {n_rows}, dropped: {dropped})")
     sample = IncomeSample(incomes)
     strata: dict[str, IncomeSample] = {}
     skipped: dict[str, int] = {}
     if spec.stratify_by:
-        arr = np.asarray(incomes)
         lab = np.asarray(labels)
         for category in sorted(set(labels)):
-            vals = arr[lab == category]
+            vals = incomes[lab == category]
             if vals.size >= 2:
                 strata[category] = IncomeSample(vals)
             else:
                 skipped[category] = int(vals.size)
-    return IngestResult(sample, strata, n_rows, len(incomes), dropped, skipped)
+    return IngestResult(sample, strata, n_rows, int(incomes.size), dropped, skipped)
 
 
 def _fmt(value) -> str:
@@ -333,9 +426,12 @@ def cmd_baseline(spec: DatasetSpec, lam0: float, out_dir: str | Path,
 
 
 def read_deflators(path: str | Path) -> dict[int, float]:
-    """Two-column CSV (year, index value) to a mapping; each year once."""
+    """Two-column CSV (year, index value) to a mapping; each year once.
+
+    A leading UTF-8 byte-order mark is ignored.
+    """
     deflators: dict[int, float] = {}
-    with (open(path, newline="", encoding="utf-8") as fh,
+    with (open(path, newline="", encoding="utf-8-sig") as fh,
           _parsing(path, csv.reader(fh)) as reader):
         header = next(reader, None)
         if header is None:

@@ -72,6 +72,17 @@ class TestBootstrapPair:
         expected_test = sorted(set(s.values.tolist()) - drawn)
         assert sorted(test.values.tolist()) == expected_test
 
+    def test_single_income_test_set_redraws(self):
+        # a 3-income sample leaves one income out of bag on 2 draws in 3
+        s = IncomeSample([1.0, 2.0, 3.0])
+        for seed in range(200):
+            train, test = bootstrap_pair(s, seed=seed)
+            assert test.n >= 2 and train.n == 3
+
+    def test_two_incomes_rejected(self):
+        with pytest.raises(ValueError, match="at least 3 incomes"):
+            bootstrap_pair(IncomeSample([1.0, 2.0]), seed=0)
+
     def test_pinned_to_direct_draw(self):
         # tie-heavy incomes; the first draw at this seed leaves a non-empty test set
         rng = np.random.default_rng(6)

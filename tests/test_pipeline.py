@@ -533,6 +533,44 @@ class TestCli:
         assert err.startswith("error:") and "short.csv" in err
         assert "line 4" in err and "'g'" in err
 
+    @pytest.mark.parametrize("marked", ["income", "deflators"])
+    def test_byte_order_mark_accepted(self, tmp_path, marked):
+        # spreadsheet "CSV UTF-8" exports begin with one
+        years = (2001, 2002, 2003)
+        for year in years:
+            path = cmd_synth(TwoClassParams(0.08, 1500.0, 1.6), 400, year,
+                             tmp_path / f"{year}.csv")
+            if marked == "income":
+                path.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        defl = tmp_path / "defl.csv"
+        defl.write_text("year,index\n2001,50.0\n2002,75.0\n2003,100.0\n",
+                        encoding="utf-8-sig" if marked == "deflators" else "utf-8")
+        out = tmp_path / "out"
+        code = main(["series", *(f"--year={y}={tmp_path / f'{y}.csv'}" for y in years),
+                     "--deflators", str(defl), "--reference-year", "2003",
+                     "--out-dir", str(out), "--k", "100", "--n-candidates", "6",
+                     "--max-iters", "5", "--refine-every", "0"])
+        assert code == 0
+        with open(out / "series.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["year"] for row in rows] == ["2001", "2002", "2003"]
+        assert float(rows[0]["temperature_deflated"]) == pytest.approx(
+            2.0 * float(rows[0]["temperature"]))
+
+    @pytest.mark.parametrize("header, flags, named", [
+        ("income,income", [], "income"),
+        ("income,g,g", ["--filter", "g=a"], "g"),
+        ("income,g,g", ["--stratify-by", "g"], "g"),
+    ])
+    def test_header_naming_a_used_column_twice(self, tmp_path, capsys, header, flags, named):
+        data = tmp_path / "twice.csv"
+        write_csv(data, [header, "1,5,a", "2,6,a", "3,7,a"])
+        code = main(["bootstrap", str(data), *flags, "-R", "2",
+                     "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and f"column {named!r} appears 2 times" in err
+
     def test_cli_import_leaves_out_scipy_stats(self):
         src = str(Path(incomefit.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
