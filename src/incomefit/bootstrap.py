@@ -23,6 +23,9 @@ from .objective import FitContext
 
 log = logging.getLogger(__name__)
 
+MIN_INCOMES = 3                         # the fewest that can leave 2 out of bag
+
+
 @dataclass(frozen=True)
 class ReplicaRecord:
     replica: int                        # spawn index r: SeedSequence(seed).spawn(R)[r]
@@ -77,8 +80,8 @@ def bootstrap_pair(sample: IncomeSample, seed: int | np.random.SeedSequence
     never leave 2 out, and is rejected.
     """
     asc, n = sample.ascending, sample.n
-    if n < 3:
-        raise ValueError(f"need at least 3 incomes to leave 2 out of bag, got {n}")
+    if n < MIN_INCOMES:
+        raise ValueError(f"need at least {MIN_INCOMES} incomes to leave 2 out of bag, got {n}")
     rng = np.random.default_rng(seed)
     while True:
         # the draws index the descending order; reversed, the counts line up with asc

@@ -12,7 +12,6 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
-from itertools import compress, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -20,6 +19,7 @@ import numpy as np
 
 from .ccdf import IncomeSample
 from .bootstrap import (
+    MIN_INCOMES,
     BootstrapSummary,
     ReplicaRecord,
     fixed_proportion_fit,
@@ -38,7 +38,6 @@ from .series import (
 )
 
 CURVE_POINTS_PER_BRANCH = 500
-CHUNK_ROWS = 1024                       # rows parsed per batch by ingest
 
 
 @dataclass(frozen=True)
@@ -70,104 +69,32 @@ def _parsing(path, reader):
         raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class _Columns:
-    """Where the columns a spec uses sit in the header, found once."""
+def _locate_columns(spec: DatasetSpec, header: list[str] | None):
+    """Where the columns a spec uses sit in the header, found once.
 
-    income: int
-    filters: tuple[tuple[int, str], ...]
-    stratum: int | None
-    width: int                          # fields a row needs to hold every used column
-
-    @classmethod
-    def locate(cls, spec: DatasetSpec, header: list[str] | None) -> _Columns:
-        if header is None or spec.income_column not in header:
-            raise ValueError(f"income column {spec.income_column!r} not found in {spec.path}")
-        others = list(spec.filters) + ([spec.stratify_by] if spec.stratify_by else [])
-        for col in others:
-            if col not in header:
-                raise ValueError(f"column {col!r} not found in {spec.path}")
-        used = [spec.income_column, *others]
-        for col in used:
-            if header.count(col) > 1:
-                raise ValueError(f"column {col!r} appears {header.count(col)} times "
-                                 f"in the header of {spec.path}")
-        at = {col: header.index(col) for col in used}
-        return cls(at[spec.income_column],
-                   tuple((at[col], value) for col, value in spec.filters.items()),
-                   at[spec.stratify_by] if spec.stratify_by else None,
-                   max(at.values()) + 1)
-
-
-def _row_line(path: str, ordinal: int) -> int:
-    """The line on which the ``ordinal``-th non-blank data row of a CSV ends.
-
-    Read again from the file, and only to word an error.
+    Returns the income index, a getter of a row's filter fields (``None``
+    without filters) with the value it must return, the stratify index or
+    ``None``, and the fields a row needs to hold every used column.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        next(islice(filter(None, reader), ordinal - 1, None))
-        return reader.line_num
-
-
-def _parse_rows(rows: list[list[str]], columns: _Columns, spec: DatasetSpec,
-                dropped: dict[str, int], rows_before: int) -> tuple[np.ndarray, list[str]]:
-    """Usable incomes of some non-blank rows, and their categories under ``--stratify-by``.
-
-    Drops are added to ``dropped``. A chunk whose rows all hold every
-    used column and whose selected incomes all parse takes the vectorised
-    path; any other chunk is re-read row by row, where a short row's
-    missing fields read as ``None``.
-    """
-    if rows and min(map(len, rows)) >= columns.width:
-        kept = rows
-        for at, value in columns.filters:
-            kept = [row for row in kept if row[at] == value]
-        try:
-            parsed = np.fromiter(map(float, map(itemgetter(columns.income), kept)),
-                                 dtype=float, count=len(kept))
-        except ValueError:
-            pass                        # a missing or unparseable income: re-read below
-        else:
-            finite = np.isfinite(parsed)
-            usable = finite & (parsed > 0.0)
-            n_finite, n_usable = int(finite.sum()), int(usable.sum())
-            dropped["filtered"] += len(rows) - len(kept)
-            dropped["nonfinite"] += len(kept) - n_finite
-            dropped["nonpositive"] += n_finite - n_usable
-            labels = ([] if columns.stratum is None else
-                      list(compress(map(itemgetter(columns.stratum), kept), usable.tolist())))
-            return parsed[usable], labels
-    incomes: list[float] = []
-    labels = []
-    for offset, row in enumerate(rows, start=rows_before + 1):
-        row = row + [None] * (columns.width - len(row))
-        if any(row[at] != value for at, value in columns.filters):
-            dropped["filtered"] += 1
-            continue
-        raw = (row[columns.income] or "").strip()
-        if raw == "":
-            dropped["missing"] += 1
-            continue
-        try:
-            value = float(raw)
-        except ValueError:
-            dropped["unparseable"] += 1
-            continue
-        if not math.isfinite(value):
-            dropped["nonfinite"] += 1
-            continue
-        if not value > 0.0:
-            dropped["nonpositive"] += 1
-            continue
-        if columns.stratum is not None:
-            if row[columns.stratum] is None:
-                raise ValueError(f"{spec.path}, line {_row_line(spec.path, offset)}: "
-                                 f"no value in column {spec.stratify_by!r}")
-            labels.append(row[columns.stratum])
-        incomes.append(value)
-    return np.array(incomes, dtype=float), labels
+    if header is None or spec.income_column not in header:
+        raise ValueError(f"income column {spec.income_column!r} not found in {spec.path}")
+    others = list(spec.filters) + ([spec.stratify_by] if spec.stratify_by else [])
+    for col in others:
+        if col not in header:
+            raise ValueError(f"column {col!r} not found in {spec.path}")
+    used = [spec.income_column, *others]
+    for col in used:
+        if header.count(col) > 1:
+            raise ValueError(f"column {col!r} appears {header.count(col)} times "
+                             f"in the header of {spec.path}")
+    at = {col: header.index(col) for col in used}
+    wanted = tuple(spec.filters.values())
+    return (at[spec.income_column],
+            itemgetter(*(at[col] for col in spec.filters)) if wanted else None,
+            # an itemgetter of one index gives that field, not a 1-tuple
+            wanted[0] if len(wanted) == 1 else wanted,
+            at[spec.stratify_by] if spec.stratify_by else None,
+            max(at.values()) + 1)
 
 
 def ingest(spec: DatasetSpec) -> IngestResult:
@@ -179,54 +106,64 @@ def ingest(spec: DatasetSpec) -> IngestResult:
     per-reason counts. Retained incomes keep their source values
     exactly. Strata with fewer than 2 incomes are left out and recorded
     in ``skipped_strata``. Blank lines are skipped without counting, a
-    leading UTF-8 byte-order mark is ignored, and a header naming a used
-    column twice is rejected.
-
-    The rows are read ``CHUNK_ROWS`` at a time, so memory holds one
-    chunk of rows, never the whole file.
+    row too short to hold a used column reads ``None`` there, a leading
+    UTF-8 byte-order mark is ignored, and a header naming a used column
+    twice is rejected.
     """
     dropped = {"filtered": 0, "missing": 0, "unparseable": 0, "nonfinite": 0,
                "nonpositive": 0}
-    chunks: list[np.ndarray] = []
+    incomes: list[float] = []
     labels: list[str] = []
     n_rows = 0
     with (open(spec.path, newline="", encoding="utf-8-sig") as fh,
           _parsing(spec.path, csv.reader(fh)) as reader):
-        columns = _Columns.locate(spec, next(reader, None))
-        while True:
-            batch: list[list[str]] = []
-            error = None
+        income, filter_key, wanted, stratum, width = _locate_columns(spec, next(reader, None))
+        for row in reader:
+            if not row:
+                continue
+            n_rows += 1
+            if len(row) < width:
+                row += [None] * (width - len(row))
+            if filter_key is not None and filter_key(row) != wanted:
+                dropped["filtered"] += 1
+                continue
+            raw = (row[income] or "").strip()
+            if raw == "":
+                dropped["missing"] += 1
+                continue
             try:
-                batch.extend(islice(reader, CHUNK_ROWS))
-            except (csv.Error, ValueError) as exc:
-                # a parse or decoding error: the rows before it are used first,
-                # so an error among them is the one raised
-                error = exc
-            rows = [row for row in batch if row]
-            usable, usable_labels = _parse_rows(rows, columns, spec, dropped, n_rows)
-            chunks.append(usable)
-            labels += usable_labels
-            n_rows += len(rows)
-            if error is not None:
-                raise error
-            if len(batch) < CHUNK_ROWS:
-                break
-    incomes = np.concatenate(chunks)
-    if incomes.size < 2:
+                value = float(raw)
+            except ValueError:
+                dropped["unparseable"] += 1
+                continue
+            if not math.isfinite(value):
+                dropped["nonfinite"] += 1
+                continue
+            if not value > 0.0:
+                dropped["nonpositive"] += 1
+                continue
+            incomes.append(value)
+            if stratum is not None:
+                if row[stratum] is None:
+                    raise ValueError(f"{spec.path}, line {reader.line_num}: "
+                                     f"no value in column {spec.stratify_by!r}")
+                labels.append(row[stratum])
+    if len(incomes) < 2:
         raise ValueError(f"no usable incomes in {spec.path} "
                          f"(rows read: {n_rows}, dropped: {dropped})")
     sample = IncomeSample(incomes)
     strata: dict[str, IncomeSample] = {}
     skipped: dict[str, int] = {}
     if spec.stratify_by:
+        arr = np.asarray(incomes)
         lab = np.asarray(labels)
         for category in sorted(set(labels)):
-            vals = incomes[lab == category]
+            vals = arr[lab == category]
             if vals.size >= 2:
                 strata[category] = IncomeSample(vals)
             else:
                 skipped[category] = int(vals.size)
-    return IngestResult(sample, strata, n_rows, int(incomes.size), dropped, skipped)
+    return IngestResult(sample, strata, n_rows, len(incomes), dropped, skipped)
 
 
 def _fmt(value) -> str:
@@ -381,8 +318,9 @@ def cmd_bootstrap(spec: DatasetSpec, n_replicas: int, out_dir: str | Path,
                   seed: int = 0) -> dict[str, BootstrapSummary]:
     """Bootstrap validation of the whole sample and of each stratum.
 
-    A stratum with fewer than 2 incomes is skipped with one printed line;
-    a category holding a path separator is rejected before any fit.
+    A stratum with fewer than ``MIN_INCOMES`` incomes, too few to leave 2
+    out of bag, is skipped with one printed line; a category holding a
+    path separator is rejected before any fit.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -396,6 +334,9 @@ def cmd_bootstrap(spec: DatasetSpec, n_replicas: int, out_dir: str | Path,
         print(f"{category}: skipped, {count} income(s), need at least 2")
     groups = sorted(ingested.strata.items()) if spec.stratify_by else [("all", ingested.sample)]
     for category, sub in groups:
+        if spec.stratify_by and sub.n < MIN_INCOMES:
+            print(f"{category}: skipped, {sub.n} income(s), need at least {MIN_INCOMES}")
+            continue
         summary = summaries[category] = run_validation(sub, n_replicas, settings, seed=seed)
         suffix = f"_{category}" if spec.stratify_by else ""
         _write_sections(out / f"summary{suffix}.txt",

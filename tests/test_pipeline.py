@@ -602,6 +602,23 @@ class TestCli:
         assert (out_dir / "summary_a.txt").exists()
         assert not (out_dir / "summary_b.txt").exists()
 
+    def test_two_income_stratum_skipped(self, tmp_path, capsys, caplog):
+        # ingest keeps it, but a bootstrap split cannot leave 2 of 2 incomes out of bag
+        rng = np.random.default_rng(12)
+        data = tmp_path / "strata.csv"
+        write_csv(data, ["income,g", *(f"{v},a" for v in rng.exponential(900.0, 300) + 1.0),
+                         "500,c", "700,c"])
+        out_dir = tmp_path / "strata_out"
+        code = main(["bootstrap", str(data), "--stratify-by", "g", "-R", "2",
+                     "--out-dir", str(out_dir), "--k", "100", "--n-candidates", "6",
+                     "--max-iters", "5", "--refine-every", "0"])
+        assert code == 0
+        assert "c: skipped, 2 income(s), need at least 3" in capsys.readouterr().out
+        assert "dropped" not in caplog.text
+        assert (out_dir / "summary_a.txt").exists()
+        assert not (out_dir / "summary_c.txt").exists()
+        assert not (out_dir / "replicas_c.csv").exists()
+
     def test_synth_then_fit_exit_codes(self, tmp_path, capsys):
         data = tmp_path / "cli.csv"
         code = main(["synth", "--top-fraction", "0.1", "--temperature", "1500",
