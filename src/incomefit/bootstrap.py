@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._pool import map_in_order
 from .ccdf import DEFAULT_CLASS_POINTS, IncomeSample
 from .fitting import ALPHA_MIN, FitError, FitSettings, fit_sample
 from .model import TwoClassParams
@@ -77,7 +78,9 @@ def bootstrap_pair(sample: IncomeSample, seed: int | np.random.SeedSequence
     sample by its draw count and test holds the zero-count incomes. A
     test set of fewer than 2 incomes, too few for a sample, triggers a
     fresh draw from the same generator; a sample of under 3 incomes can
-    never leave 2 out, and is rejected.
+    never leave 2 out, and is rejected. Both sides come out ascending and
+    hold values the sample has already checked, so neither is sorted
+    or checked again.
     """
     asc, n = sample.ascending, sample.n
     if n < MIN_INCOMES:
@@ -88,13 +91,38 @@ def bootstrap_pair(sample: IncomeSample, seed: int | np.random.SeedSequence
         counts = np.bincount(rng.integers(0, n, size=n), minlength=n)[::-1]
         test = asc[counts == 0]
         if test.size >= 2:
-            return IncomeSample(np.repeat(asc, counts)), IncomeSample(test)
+            return (IncomeSample._from_ascending(np.repeat(asc, counts)),
+                    IncomeSample._from_ascending(test))
 
 
 def _class_rmsle(params: TwoClassParams, sample: IncomeSample, k: int) -> float:
     """Log error of a fitted model on a sample's own class statistic."""
     return FitContext(sample, k).residual_rmsle(params.temperature, params.crossover,
                                                 math.log(params.lam), params.alpha)
+
+
+def _replica(shared: tuple[IncomeSample, FitSettings],
+             item: tuple[int, np.random.SeedSequence]) -> ReplicaRecord | str:
+    """Fit replica r on its own stream: its record, or why it was dropped."""
+    sample, settings = shared
+    r, stream = item
+    resample, swarm = stream.spawn(2)
+    try:
+        train, test = bootstrap_pair(sample, resample)
+        fit = fit_sample(train, settings, seed=swarm)
+        test_rmsle = _class_rmsle(fit.params, test, settings.k)
+    except (FitError, ValueError) as exc:
+        return str(exc)
+    return ReplicaRecord(
+        replica=r,
+        crossover=fit.crossover,
+        top_fraction=fit.params.lam,
+        temperature=fit.params.temperature,
+        pareto_index=fit.params.alpha,
+        gini=fit.gini_theoretical,
+        train_rmsle=fit.loss.rmsle,
+        test_rmsle=test_rmsle,
+    )
 
 
 def run_validation(sample: IncomeSample, n_replicas: int,
@@ -105,31 +133,24 @@ def run_validation(sample: IncomeSample, n_replicas: int,
     Replica r draws from child r of ``SeedSequence(seed).spawn(R)``,
     itself split into a resampling and a swarm stream, so every stream is
     independent within a run and across master seeds, and each replica
-    is reproducible on its own. Replicas whose fit is degenerate are
-    dropped and logged; the summary reports the effective count.
+    is reproducible on its own. Replicas run on worker processes, one per
+    available CPU, with the same results for any count. Replicas whose
+    fit is degenerate are dropped and logged in replica order; the
+    summary reports the effective count.
     """
     if n_replicas < 2:
         raise ValueError(f"need at least 2 replicas, got {n_replicas}")
+    if sample.n < MIN_INCOMES:
+        raise ValueError(f"need at least {MIN_INCOMES} incomes to leave 2 out of bag, "
+                         f"got {sample.n}")
+    streams = np.random.SeedSequence(seed).spawn(n_replicas)
     replicas: list[ReplicaRecord] = []
-    for r, stream in enumerate(np.random.SeedSequence(seed).spawn(n_replicas)):
-        resample, swarm = stream.spawn(2)
-        try:
-            train, test = bootstrap_pair(sample, resample)
-            fit = fit_sample(train, settings, seed=swarm)
-            test_rmsle = _class_rmsle(fit.params, test, settings.k)
-        except (FitError, ValueError) as exc:
-            log.warning("replica %d dropped: %s", r, exc)
-            continue
-        replicas.append(ReplicaRecord(
-            replica=r,
-            crossover=fit.crossover,
-            top_fraction=fit.params.lam,
-            temperature=fit.params.temperature,
-            pareto_index=fit.params.alpha,
-            gini=fit.gini_theoretical,
-            train_rmsle=fit.loss.rmsle,
-            test_rmsle=test_rmsle,
-        ))
+    for r, outcome in enumerate(map_in_order(_replica, list(enumerate(streams)),
+                                             (sample, settings))):
+        if isinstance(outcome, str):
+            log.warning("replica %d dropped: %s", r, outcome)
+        else:
+            replicas.append(outcome)
     stats: dict[str, IndicatorStats] = {}
     if replicas:
         for name in INDICATORS:

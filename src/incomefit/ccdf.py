@@ -41,9 +41,22 @@ class IncomeSample:
             raise ValueError("incomes must be finite")
         if np.any(arr <= 0):
             raise ValueError("incomes must be strictly positive")
-        asc = np.sort(arr)
+        self._hold(np.sort(arr))
+
+    @classmethod
+    def _from_ascending(cls, ascending: np.ndarray) -> IncomeSample:
+        """A sample over ``ascending``, which must already be sorted and valid.
+
+        For subsets and resamples of a sample: their values passed its
+        checks, and their ascending order is kept, so neither is redone.
+        """
+        sample = cls.__new__(cls)
+        sample._hold(ascending)
+        return sample
+
+    def _hold(self, asc: np.ndarray):
         asc.flags.writeable = False
-        self.n = int(arr.size)
+        self.n = int(asc.size)
         self._ascending = asc
         # prefix[i] = sum of the i smallest incomes
         self._prefix = np.concatenate(([0.0], np.cumsum(asc)))

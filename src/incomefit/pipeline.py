@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._pool import map_in_order
 from .ccdf import IncomeSample
 from .bootstrap import (
     MIN_INCOMES,
@@ -32,8 +33,8 @@ from .series import (
     IndicatorSeries,
     YearRecord,
     affine_regression,
-    build_series,
     check_deflators,
+    fit_year,
     pearson,
 )
 
@@ -393,19 +394,48 @@ def read_deflators(path: str | Path) -> dict[int, float]:
     return deflators
 
 
+def _year(shared: tuple[dict[int, float], int, FitSettings],
+          item: tuple[int, DatasetSpec, np.random.SeedSequence]):
+    """Read and fit one year: ``(None, record)``, or the failed stage and its error."""
+    deflators, reference_year, settings = shared
+    year, spec, stream = item
+    try:
+        sample = ingest(spec).sample
+    except (ValueError, OSError) as exc:
+        return "ingest", exc
+    try:
+        return None, fit_year(year, sample, deflators, reference_year, settings, stream)
+    except ValueError as exc:
+        return "fit", exc
+
+
 def cmd_series(specs_by_year: dict[int, DatasetSpec], deflator_path: str | Path,
                reference_year: int, out_dir: str | Path,
                settings: FitSettings = FitSettings(),
                seed: int = 0) -> IndicatorSeries:
-    """Per-year fits, deflation, correlations and regression outputs."""
+    """Per-year fits, deflation, correlations and regression outputs.
+
+    Years are read and fitted on worker processes; as in ``build_series``,
+    year i fits with child i of ``SeedSequence(seed).spawn(len(years))``.
+    Errors surface as if every year were read before any was fitted: a
+    read error before a fit error, and the earliest year's first.
+    """
     if len(specs_by_year) < 3:
         raise ValueError(f"need at least 3 years for correlations, got {len(specs_by_year)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     deflators = read_deflators(deflator_path)
     check_deflators(deflators, specs_by_year, reference_year)
-    samples = {year: ingest(spec).sample for year, spec in sorted(specs_by_year.items())}
-    series = build_series(samples, deflators, reference_year, settings, seed=seed)
+    years = sorted(specs_by_year)
+    streams = np.random.SeedSequence(seed).spawn(len(years))
+    outcomes = map_in_order(_year, [(year, specs_by_year[year], stream)
+                                    for year, stream in zip(years, streams)],
+                            (deflators, reference_year, settings))
+    for stage in ("ingest", "fit"):
+        for failed, error in outcomes:
+            if failed == stage:
+                raise error
+    series = IndicatorSeries([record for _, record in outcomes], reference_year)
 
     _write_records(out / "series.csv", YearRecord, series.records)
 

@@ -78,36 +78,45 @@ def check_deflators(deflators: Mapping[int, float], years: Iterable[int],
         raise ValueError(f"deflator index must be positive and finite for year(s): {bad}")
 
 
+def fit_year(year: int, sample: IncomeSample, deflators: Mapping[int, float],
+             reference_year: int, settings: FitSettings,
+             seed: np.random.SeedSequence) -> YearRecord:
+    """Fit one year's sample and deflate its currency indicators.
+
+    Deflated value = nominal value * (reference-year index / year index).
+    Both the temperature and the crossover carry currency units, so both
+    are deflated.
+    """
+    fit = fit_sample(sample, settings, seed=seed)
+    factor = float(deflators[reference_year]) / float(deflators[year])
+    return YearRecord(
+        year=year,
+        top_fraction=fit.params.lam,
+        temperature=fit.params.temperature,
+        temperature_deflated=fit.params.temperature * factor,
+        pareto_index=fit.params.alpha,
+        crossover=fit.crossover,
+        crossover_deflated=fit.crossover * factor,
+        gini_theoretical=fit.gini_theoretical,
+        gini_empirical=fit.gini_empirical,
+    )
+
+
 def build_series(samples_by_year: Mapping[int, IncomeSample],
                  deflators: Mapping[int, float], reference_year: int,
                  settings: FitSettings = FitSettings(),
                  seed: int = 0) -> IndicatorSeries:
     """Fit every year and deflate to reference-year currency.
 
-    Deflated value = nominal value * (reference-year index / year index).
-    Both the temperature and the crossover carry currency units, so both
-    are deflated. Years are processed in ascending order; year i is
-    fitted with child i of ``SeedSequence(seed).spawn(len(years))``.
+    Years are processed in ascending order; year i is fitted with child
+    i of ``SeedSequence(seed).spawn(len(years))``.
     """
     years = sorted(samples_by_year)
     check_deflators(deflators, years, reference_year)
-    ref_index = float(deflators[reference_year])
-    records = []
-    for year, stream in zip(years, np.random.SeedSequence(seed).spawn(len(years))):
-        fit = fit_sample(samples_by_year[year], settings, seed=stream)
-        factor = ref_index / float(deflators[year])
-        records.append(YearRecord(
-            year=year,
-            top_fraction=fit.params.lam,
-            temperature=fit.params.temperature,
-            temperature_deflated=fit.params.temperature * factor,
-            pareto_index=fit.params.alpha,
-            crossover=fit.crossover,
-            crossover_deflated=fit.crossover * factor,
-            gini_theoretical=fit.gini_theoretical,
-            gini_empirical=fit.gini_empirical,
-        ))
-    return IndicatorSeries(records, reference_year)
+    streams = np.random.SeedSequence(seed).spawn(len(years))
+    return IndicatorSeries([fit_year(year, samples_by_year[year], deflators, reference_year,
+                                     settings, stream)
+                            for year, stream in zip(years, streams)], reference_year)
 
 
 def _rho(a: np.ndarray, b: np.ndarray) -> float:

@@ -45,6 +45,17 @@ class TestBootstrapPair:
         train, test = bootstrap_pair(s, seed=4)
         assert not set(test.values.tolist()) & set(train.values.tolist())
 
+    def test_sides_equal_sorted_samples(self):
+        # both sides are built without a sort; they must match the sorting constructor
+        rng = np.random.default_rng(6)
+        s = IncomeSample(rng.exponential(size=500) + 0.01)
+        for side in bootstrap_pair(s, seed=7):
+            again = IncomeSample(side.values)
+            assert np.array_equal(side.ascending, again.ascending)
+            assert side.mean == again.mean
+            assert side.count_and_sum_below(1.0) == again.count_and_sum_below(1.0)
+            assert not side.ascending.flags.writeable
+
     def test_distinct_fraction_near_632(self):
         rng = np.random.default_rng(5)
         s = IncomeSample(rng.exponential(size=10_000) + 0.01)

@@ -619,6 +619,16 @@ class TestCli:
         assert not (out_dir / "summary_c.txt").exists()
         assert not (out_dir / "replicas_c.csv").exists()
 
+    def test_two_income_sample_rejected(self, tmp_path, capsys, caplog):
+        data = tmp_path / "two.csv"
+        write_csv(data, ["income", "100", "200"])
+        out_dir = tmp_path / "two_out"
+        code = main(["bootstrap", str(data), "-R", "2", "--out-dir", str(out_dir)])
+        assert code == 1
+        assert "need at least 3 incomes to leave 2 out of bag, got 2" in capsys.readouterr().err
+        assert "dropped" not in caplog.text
+        assert list(out_dir.iterdir()) == []
+
     def test_synth_then_fit_exit_codes(self, tmp_path, capsys):
         data = tmp_path / "cli.csv"
         code = main(["synth", "--top-fraction", "0.1", "--temperature", "1500",
