@@ -3,8 +3,8 @@
 import os
 
 # One BLAS thread unless the caller chose a count: the fits run one per
-# worker process, and an idle BLAS thread spins in L-BFGS-B, taking the
-# CPU a worker needs. It takes effect only before numpy is first imported.
+# worker process, and an idle BLAS thread spins while a fit runs, taking
+# the CPU a worker needs. It takes effect only before numpy is first imported.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

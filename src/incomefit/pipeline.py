@@ -320,8 +320,9 @@ def cmd_bootstrap(spec: DatasetSpec, n_replicas: int, out_dir: str | Path,
     """Bootstrap validation of the whole sample and of each stratum.
 
     A stratum with fewer than ``MIN_INCOMES`` incomes, too few to leave 2
-    out of bag, is skipped with one printed line; a category holding a
-    path separator is rejected before any fit.
+    out of bag, is skipped with one printed line, in category order; a
+    category holding a path separator, or strata none of which holds
+    ``MIN_INCOMES`` incomes, are rejected before any fit.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -330,14 +331,21 @@ def cmd_bootstrap(spec: DatasetSpec, n_replicas: int, out_dir: str | Path,
     for category in ingested.strata:
         if separators & set(category):
             raise ValueError(f"--stratify-by category {category!r} holds a path separator")
+    groups = [("all", ingested.sample)]
+    if spec.stratify_by:
+        sizes = ingested.skipped_strata | {c: s.n for c, s in ingested.strata.items()}
+        if max(sizes.values()) < MIN_INCOMES:
+            raise ValueError(f"no --stratify-by category holds at least {MIN_INCOMES} "
+                             f"incomes: {dict(sorted(sizes.items()))}")
+        groups = []
+        for category in sorted(sizes):
+            if sizes[category] >= MIN_INCOMES:
+                groups.append((category, ingested.strata[category]))
+            else:
+                print(f"{category}: skipped, {sizes[category]} income(s), "
+                      f"need at least {MIN_INCOMES}")
     summaries: dict[str, BootstrapSummary] = {}
-    for category, count in ingested.skipped_strata.items():
-        print(f"{category}: skipped, {count} income(s), need at least 2")
-    groups = sorted(ingested.strata.items()) if spec.stratify_by else [("all", ingested.sample)]
     for category, sub in groups:
-        if spec.stratify_by and sub.n < MIN_INCOMES:
-            print(f"{category}: skipped, {sub.n} income(s), need at least {MIN_INCOMES}")
-            continue
         summary = summaries[category] = run_validation(sub, n_replicas, settings, seed=seed)
         suffix = f"_{category}" if spec.stratify_by else ""
         _write_sections(out / f"summary{suffix}.txt",

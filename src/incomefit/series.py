@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.special import stdtr
 
 from .ccdf import IncomeSample
 from .fitting import FitSettings, fit_sample
@@ -129,6 +128,9 @@ def _rho(a: np.ndarray, b: np.ndarray) -> float:
 def _t_test_p(rho: float, n: int) -> float:
     if abs(rho) >= 1.0:
         return 0.0
+    # imported here: ``import incomefit`` does not otherwise load scipy
+    from scipy.special import stdtr
+
     t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
     return 2.0 * float(stdtr(n - 2, -abs(t)))
 

@@ -8,9 +8,9 @@ so far. Positions leaving the search box are clamped to the face with
 that velocity component zeroed. Inertia falls linearly between its
 endpoints over the iteration budget.
 
-The hybrid layer periodically polishes the incumbent best with L-BFGS-B
-steps driven by central finite-difference gradients; refinement never
-returns a worse point than its input.
+The hybrid layer periodically polishes the incumbent best with bounded
+BFGS steps in box-scaled coordinates, driven by central finite-difference
+gradients; refinement never returns a worse point than its input.
 
 An objective maps an (n, d) array of points to n values, so a whole
 population, or one refinement point with all probes of its gradient,
@@ -22,12 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 
 K_INFORMANTS = 3                        # random informant sets each candidate joins
 C1 = C2 = 1.7                           # pulls toward personal and informant bests
 W_START, W_END = 0.7, 0.4               # inertia at the first and last iteration
+
+C_ARMIJO = 1e-4                         # sufficient-decrease fraction of the slope
+MAX_TRIALS = 20                         # backtracking trials per step
+RELATIVE_DECREASE = 2.2e-9              # stop below this decrease over max(|f|, 1)
+PROJECTED_GRADIENT = 1e-5               # stop below this box-scaled projected gradient
 
 
 @dataclass(eq=False)
@@ -152,24 +156,32 @@ def refine(point, objective, bounds, max_steps: int) -> tuple[np.ndarray, float]
 
     Gradients are central finite differences with relative step 1e-6 per
     coordinate, falling back to one-sided differences at the box faces;
-    each L-BFGS-B point is scored in one call together with its 2d
-    probes. A non-finite objective at the start point returns it
-    unchanged.
+    each visited point is scored in one call together with its 2d probes.
+    A non-finite objective at the start point returns it unchanged.
+
+    The search runs BFGS in box-scaled coordinates ``u = (x - lo) / (hi - lo)``:
+    coordinates on a face whose gradient points out of the box are held,
+    the step ``-H g`` on the others is projected onto the box and
+    backtracked to the Armijo condition. It stops after ``max_steps``
+    accepted steps, on a relative decrease of at most ``RELATIVE_DECREASE``,
+    on a projected gradient of at most ``PROJECTED_GRADIENT``, or when no
+    trial step is accepted.
     """
     bounds = np.asarray(bounds, dtype=float)
     lo, hi = bounds[:, 0], bounds[:, 1]
-    x0 = np.clip(np.asarray(point, dtype=float), lo, hi)
-    f0 = float(objective(x0[None, :])[0])
+    width = hi - lo
+    x = np.clip(np.asarray(point, dtype=float), lo, hi)
+    f0 = float(objective(x[None, :])[0])
     if not np.isfinite(f0):
         return np.asarray(point, dtype=float).copy(), f0
-    best_x, best_f = x0.copy(), f0
-    d = x0.size
+    best_x, best_f = x.copy(), f0
+    d = x.size
     idx = np.arange(d)
 
     def value_and_gradient(x):
-        """Value and gradient at ``x``, non-finite values as 1e300; keeps the best finite row."""
+        """Value and box-scaled gradient at ``x``, non-finite values as 1e300; keeps the best finite row."""
         nonlocal best_x, best_f
-        h = 1e-6 * np.maximum(np.abs(x), 1e-3 * (hi - lo))
+        h = 1e-6 * np.maximum(np.abs(x), 1e-3 * width)
         up, down = np.minimum(x + h, hi), np.maximum(x - h, lo)
         rows = np.repeat(x[None, :], 2 * d + 1, axis=0)  # rows x, x+h0, x-h0, x+h1, ...
         rows[2 * idx + 1, idx] = up
@@ -182,13 +194,49 @@ def refine(point, objective, bounds, max_steps: int) -> tuple[np.ndarray, float]
         values = np.where(finite, values, 1e300)
         gradient = np.divide(values[1::2] - values[2::2], up - down, out=np.zeros(d),
                              where=up != down)
-        return float(values[0]), gradient
+        return float(values[0]), gradient * width
 
-    try:
-        minimize(value_and_gradient, x0, jac=True, method="L-BFGS-B",
-                 bounds=list(zip(lo, hi)), options={"maxiter": int(max_steps)})
-    except (ValueError, FloatingPointError):
-        pass
+    f, g = value_and_gradient(x)
+    H = np.eye(d)
+    updated = False
+    # a non-finite probe scores 1e300, and its gradient may overflow the step arithmetic
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(int(max_steps)):
+            u = (x - lo) / width
+            if np.max(np.abs(np.clip(u - g, 0.0, 1.0) - u)) <= PROJECTED_GRADIENT:
+                break
+            free = ~(((u <= 0.0) & (g > 0.0)) | ((u >= 1.0) & (g < 0.0)))
+            direction = np.zeros(d)
+            direction[free] = -H[np.ix_(free, free)] @ g[free]
+            if not np.all(np.isfinite(direction)):
+                break
+            t = 1.0 if updated else min(1.0, 1.0 / np.linalg.norm(direction))
+            for _ in range(MAX_TRIALS):
+                x_new = np.clip(x + t * direction * width, lo, hi)
+                s = (x_new - x) / width
+                slope = float(g @ s)
+                f_new, g_new = value_and_gradient(x_new)
+                if f_new <= f + C_ARMIJO * slope:
+                    break
+                curvature = f_new - f - slope
+                shrink = -slope / (2.0 * curvature) if curvature > 0.0 else 0.5
+                t *= min(max(shrink, 0.1), 0.5)
+            else:
+                break
+            y = g_new - g
+            sy = float(s @ y)
+            if sy > 0.0:
+                if not updated:
+                    H = np.eye(d) * (sy / float(y @ y))
+                    updated = True
+                rho = 1.0 / sy
+                Hy = H @ y
+                H += (rho * rho * float(y @ Hy) + rho) * np.outer(s, s) \
+                    - rho * (np.outer(Hy, s) + np.outer(s, Hy))
+            decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+            x, f, g = x_new, f_new, g_new
+            if decrease <= RELATIVE_DECREASE:
+                break
     return best_x, best_f
 
 

@@ -580,6 +580,26 @@ class TestCli:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
 
+    def test_cli_import_and_bootstrap_leave_out_scipy(self, tmp_path):
+        src = str(Path(incomefit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        data = tmp_path / "small.csv"
+        probe = (
+            "import sys, incomefit.cli\n"
+            "from incomefit import FitSettings, TwoClassParams, cmd_bootstrap, cmd_synth\n"
+            "from incomefit.pipeline import DatasetSpec\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(loaded())\n"
+            f"cmd_synth(TwoClassParams(0.1, 1500.0, 1.7), 300, seed=3, out_path={str(data)!r})\n"
+            f"cmd_bootstrap(DatasetSpec({str(data)!r}, 'income'), 2, {str(tmp_path / 'o')!r},\n"
+            "              FitSettings(k=50, n_candidates=6, max_iters=5, refine_every=2))\n"
+            "print(loaded())\n")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines()[0] == "[]"
+        assert result.stdout.splitlines()[-1] == "[]"
+
     def test_oversized_csv_field(self, tmp_path, capsys):
         data = tmp_path / "wide.csv"
         write_csv(data, ["income", "100", "9" * 200_000, "200"])
@@ -598,7 +618,7 @@ class TestCli:
                      "--out-dir", str(out_dir), "--k", "100", "--n-candidates", "6",
                      "--max-iters", "5", "--refine-every", "0"])
         assert code == 0
-        assert "b: skipped, 1 income(s), need at least 2" in capsys.readouterr().out
+        assert "b: skipped, 1 income(s), need at least 3" in capsys.readouterr().out
         assert (out_dir / "summary_a.txt").exists()
         assert not (out_dir / "summary_b.txt").exists()
 
@@ -618,6 +638,32 @@ class TestCli:
         assert (out_dir / "summary_a.txt").exists()
         assert not (out_dir / "summary_c.txt").exists()
         assert not (out_dir / "replicas_c.csv").exists()
+
+    def test_skip_lines_in_category_order(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        data = tmp_path / "strata.csv"
+        write_csv(data, ["income,g", "100,a", "200,b", "300,b", "400,c",
+                         *(f"{v},d" for v in rng.exponential(900.0, 300) + 1.0)])
+        code = main(["bootstrap", str(data), "--stratify-by", "g", "-R", "2",
+                     "--out-dir", str(tmp_path / "o"), "--k", "100", "--n-candidates", "6",
+                     "--max-iters", "5", "--refine-every", "0"])
+        assert code == 0
+        skips = [line for line in capsys.readouterr().out.splitlines() if "skipped" in line]
+        assert skips == ["a: skipped, 1 income(s), need at least 3",
+                         "b: skipped, 2 income(s), need at least 3",
+                         "c: skipped, 1 income(s), need at least 3"]
+
+    def test_no_usable_stratum_rejected(self, tmp_path, capsys):
+        data = tmp_path / "strata.csv"
+        write_csv(data, ["income,g", "100,a", "200,b", "300,b", "400,c"])
+        out_dir = tmp_path / "o"
+        code = main(["bootstrap", str(data), "--stratify-by", "g", "-R", "2",
+                     "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "no --stratify-by category holds at least 3 incomes" in err
+        assert list(out_dir.iterdir()) == []
 
     def test_two_income_sample_rejected(self, tmp_path, capsys, caplog):
         data = tmp_path / "two.csv"
