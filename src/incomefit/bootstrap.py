@@ -16,15 +16,19 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._pool import map_in_order
-from .ccdf import DEFAULT_CLASS_POINTS, IncomeSample
-from .fitting import ALPHA_MIN, FitError, FitSettings, fit_sample
-from .model import TwoClassParams
-from .objective import FitContext
+from . import _pool
+from .ccdf import DEFAULT_CLASS_POINTS, IncomeSample, build_ccdf
+from .fitting import ALPHA_MIN, P_MAX, FitError, FitSettings, fit_group, solution
+from .model import TwoClassParams, theoretical_gini
+from .objective import ClassResiduals, FitContext
 
 log = logging.getLogger(__name__)
 
 MIN_INCOMES = 3                         # the fewest that can leave 2 out of bag
+# Replicas a worker fits together, with one stacked loss call per round. A
+# live replica holds about 1.3 MB at 2e5 incomes. Groups of 10 fit 10% faster
+# than groups of 5; whole bootstrap runs took the same time with either.
+GROUP_MAX = 10
 
 
 @dataclass(frozen=True)
@@ -88,41 +92,67 @@ def bootstrap_pair(sample: IncomeSample, seed: int | np.random.SeedSequence
     rng = np.random.default_rng(seed)
     while True:
         # the draws index the descending order; reversed, the counts line up with asc
-        counts = np.bincount(rng.integers(0, n, size=n), minlength=n)[::-1]
+        # (a contiguous copy: np.repeat and the mask below run on it 40% faster)
+        counts = np.bincount(rng.integers(0, n, size=n), minlength=n)[::-1].copy()
         test = asc[counts == 0]
         if test.size >= 2:
             return (IncomeSample._from_ascending(np.repeat(asc, counts)),
                     IncomeSample._from_ascending(test))
 
 
-def _class_rmsle(params: TwoClassParams, sample: IncomeSample, k: int) -> float:
-    """Log error of a fitted model on a sample's own class statistic."""
-    return FitContext(sample, k).residual_rmsle(params.temperature, params.crossover,
-                                                math.log(params.lam), params.alpha)
+def _class_rmsle(params: TwoClassParams, residuals: ClassResiduals) -> float:
+    """Log error of a fitted model on a sample's class statistic."""
+    return residuals.residual_rmsle(params.temperature, params.crossover,
+                                    math.log(params.lam), params.alpha)
 
 
-def _replica(shared: tuple[IncomeSample, FitSettings],
-             item: tuple[int, np.random.SeedSequence]) -> ReplicaRecord | str:
-    """Fit replica r on its own stream: its record, or why it was dropped."""
+def _prepare(sample: IncomeSample, settings: FitSettings, resample: np.random.SeedSequence
+             ) -> tuple[FitContext, ClassResiduals]:
+    """The train set's search context and the test set's class statistic.
+
+    Only what the fit and the out-of-bag error read is kept: the search
+    never scores p > P_MAX, so the context is trimmed to it.
+    """
+    train, test = bootstrap_pair(sample, resample)
+    return (FitContext(train, settings.k).trimmed(P_MAX),
+            ClassResiduals(build_ccdf(test, settings.k)))
+
+
+def _replica_group(shared: tuple[IncomeSample, FitSettings],
+                   group: list[tuple[int, np.random.SeedSequence]]) -> list[ReplicaRecord | str]:
+    """Fit a group of replicas together, each on its own streams.
+
+    Each replica gives its record, or why it was dropped.
+    """
     sample, settings = shared
-    r, stream = item
-    resample, swarm = stream.spawn(2)
-    try:
-        train, test = bootstrap_pair(sample, resample)
-        fit = fit_sample(train, settings, seed=swarm)
-        test_rmsle = _class_rmsle(fit.params, test, settings.k)
-    except (FitError, ValueError) as exc:
-        return str(exc)
-    return ReplicaRecord(
-        replica=r,
-        crossover=fit.crossover,
-        top_fraction=fit.params.lam,
-        temperature=fit.params.temperature,
-        pareto_index=fit.params.alpha,
-        gini=fit.gini_theoretical,
-        train_rmsle=fit.loss.rmsle,
-        test_rmsle=test_rmsle,
-    )
+    outcomes: dict[int, ReplicaRecord | str] = {}
+    ready = []
+    for r, stream in group:
+        resample, swarm = stream.spawn(2)
+        try:
+            ready.append((r, swarm, *_prepare(sample, settings, resample)))
+        except ValueError as exc:
+            outcomes[r] = str(exc)
+    results = fit_group([context for _, _, context, _ in ready], settings,
+                        [swarm for _, swarm, _, _ in ready])
+    for (r, _, context, residuals), result in zip(ready, results):
+        try:
+            breakdown = solution(context, result)
+        except FitError as exc:
+            outcomes[r] = str(exc)
+            continue
+        params = breakdown.params
+        outcomes[r] = ReplicaRecord(
+            replica=r,
+            crossover=breakdown.crossover,
+            top_fraction=params.lam,
+            temperature=params.temperature,
+            pareto_index=params.alpha,
+            gini=theoretical_gini(params.lam, params.alpha),
+            train_rmsle=breakdown.rmsle,
+            test_rmsle=_class_rmsle(params, residuals),
+        )
+    return [outcomes[r] for r, _ in group]
 
 
 def run_validation(sample: IncomeSample, n_replicas: int,
@@ -134,8 +164,9 @@ def run_validation(sample: IncomeSample, n_replicas: int,
     itself split into a resampling and a swarm stream, so every stream is
     independent within a run and across master seeds, and each replica
     is reproducible on its own. Replicas run on worker processes, one per
-    available CPU, with the same results for any count. Replicas whose
-    fit is degenerate are dropped and logged in replica order; the
+    available CPU, each fitting groups of consecutive replicas together,
+    with the same results for any worker count and group size. Replicas
+    whose fit is degenerate are dropped and logged in replica order; the
     summary reports the effective count.
     """
     if n_replicas < 2:
@@ -143,10 +174,12 @@ def run_validation(sample: IncomeSample, n_replicas: int,
     if sample.n < MIN_INCOMES:
         raise ValueError(f"need at least {MIN_INCOMES} incomes to leave 2 out of bag, "
                          f"got {sample.n}")
-    streams = np.random.SeedSequence(seed).spawn(n_replicas)
+    items = list(enumerate(np.random.SeedSequence(seed).spawn(n_replicas)))
+    size = min(GROUP_MAX, -(-n_replicas // _pool.cpu_count()))
+    groups = [items[start:start + size] for start in range(0, n_replicas, size)]
     replicas: list[ReplicaRecord] = []
-    for r, outcome in enumerate(map_in_order(_replica, list(enumerate(streams)),
-                                             (sample, settings))):
+    outcomes = _pool.map_in_order(_replica_group, groups, (sample, settings))
+    for r, outcome in enumerate(outcome for group in outcomes for outcome in group):
         if isinstance(outcome, str):
             log.warning("replica %d dropped: %s", r, outcome)
         else:

@@ -59,7 +59,9 @@ class IncomeSample:
         self.n = int(asc.size)
         self._ascending = asc
         # prefix[i] = sum of the i smallest incomes
-        self._prefix = np.concatenate(([0.0], np.cumsum(asc)))
+        self._prefix = np.empty(self.n + 1)
+        self._prefix[0] = 0.0
+        np.cumsum(asc, out=self._prefix[1:])
         self.mean = float(self._prefix[-1] / self.n)
 
     @property
@@ -95,14 +97,15 @@ class EmpiricalCcdf:
 
     def __init__(self, ascending: np.ndarray, first: np.ndarray, class_points: np.ndarray):
         self.n = int(ascending.size)
-        self.incomes = ascending[first]                 # distinct knot incomes, ascending
-        self.fractions = (self.n - first) / self.n      # C at each knot, decreasing
+        # interpolation tables for income_at: fractions ascending, knot incomes descending
+        by_fraction = first[::-1]
+        self._fr_asc = (self.n - by_fraction) / self.n
+        self._inc_by_fr = ascending[by_fraction]
+        self.incomes = self._inc_by_fr[::-1]            # distinct knot incomes, ascending
+        self.fractions = self._fr_asc[::-1]             # C at each knot, decreasing
         self.class_points = class_points
         self.k = int(class_points.size)
         self._ascending = ascending
-        # interpolation tables for income_at (fractions ascending)
-        self._fr_asc = self.fractions[::-1].copy()
-        self._inc_by_fr = self.incomes[::-1].copy()
 
     @property
     def min_fraction(self) -> float:

@@ -74,6 +74,8 @@ def _parse_filters(pairs) -> dict[str, str]:
         if "=" not in pair:
             raise ValueError(f"filter must look like COL=VALUE, got {pair!r}")
         col, val = pair.split("=", 1)
+        if col in filters:
+            raise ValueError(f"--filter names column {col!r} more than once")
         filters[col] = val
     return filters
 
@@ -161,9 +163,14 @@ def main(argv=None) -> int:
                 if "=" not in pair:
                     raise ValueError(f"--year must look like YEAR=PATH, got {pair!r}")
                 year, path = pair.split("=", 1)
-                specs[int(year)] = DatasetSpec(path=path,
-                                               income_column=args.income_col,
-                                               filters=_parse_filters(args.filter))
+                try:
+                    year = int(year)
+                except ValueError:
+                    raise ValueError(f"--year needs an integer year, got {pair!r}") from None
+                if year in specs:
+                    raise ValueError(f"--year {year} given more than once")
+                specs[year] = DatasetSpec(path=path, income_column=args.income_col,
+                                          filters=_parse_filters(args.filter))
             series = cmd_series(specs, args.deflators, args.reference_year,
                                 args.out_dir, settings, seed)
             print(f"fitted {len(series.records)} years")

@@ -9,8 +9,8 @@ import numpy as np
 
 from .ccdf import DEFAULT_CLASS_POINTS, IncomeSample, empirical_gini
 from .model import TwoClassParams, theoretical_gini
-from .objective import FitContext, LossBreakdown, SearchPoint
-from .swarm import OptimizeResult, SwarmConfig, optimize
+from .objective import FitContext, LossBreakdown, SearchPoint, stacked_objective
+from .swarm import OptimizeResult, SwarmConfig, drive, search
 
 
 # The search box of every fit: the Pareto class holds at most a fifth of
@@ -97,6 +97,28 @@ def region_rmsle(context: FitContext,
     return rmsle_exp, n_exp, rmsle_par, n_par
 
 
+def fit_group(contexts: list[FitContext], settings: FitSettings,
+              seeds: list[int | np.random.SeedSequence]) -> list[OptimizeResult]:
+    """Swarm search of each context on its own seed, all advanced together.
+
+    Each round scores the rows of every unfinished search in one stacked
+    loss call, so a group of fits shares the fixed cost of a call; each
+    result equals that of the context's search alone.
+    """
+    searches = [search(settings.swarm_config(context.mean, seed))
+                for context, seed in zip(contexts, seeds)]
+    return drive(searches, lambda live, blocks: stacked_objective(
+        [contexts[i] for i in live], blocks))
+
+
+def solution(context: FitContext, result: OptimizeResult) -> LossBreakdown:
+    """Loss breakdown at the best point found; FitError when it is degenerate."""
+    breakdown = context.loss_at(*result.x)
+    if breakdown.degenerate or breakdown.params is None:
+        raise FitError("optimizer found no non-degenerate model for this sample")
+    return breakdown
+
+
 def fit_sample(sample: IncomeSample, settings: FitSettings = FitSettings(),
                seed: int | np.random.SeedSequence = 0,
                context: FitContext | None = None) -> FitResult:
@@ -107,11 +129,8 @@ def fit_sample(sample: IncomeSample, settings: FitSettings = FitSettings(),
     """
     if context is None:
         context = FitContext(sample, settings.k)
-    config = settings.swarm_config(sample.mean, seed)
-    result: OptimizeResult = optimize(config, context.objective_batch)
-    breakdown = context.loss_at(*result.x)
-    if breakdown.degenerate or breakdown.params is None:
-        raise FitError("optimizer found no non-degenerate model for this sample")
+    result, = fit_group([context], settings, [seed])
+    breakdown = solution(context, result)
     point = SearchPoint(*result.x.tolist())
     params = breakdown.params
     assert breakdown.crossover is not None

@@ -15,6 +15,7 @@ raising, so a population optimizer can keep ranking candidates.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -63,50 +64,23 @@ class LossBreakdown:
         return cls(SENTINEL_LOSS, 0.0, 0.0, SENTINEL_LOSS, None, None, True)
 
 
-class FitContext:
-    """Precomputed empirical quantities shared by all loss evaluations.
+# Rows of the table lookups of one search point (see FitContext._lookup): crossover,
+# count and sum of incomes below it, the 9 running sums at its split, then the
+# context's constants y_mean, u_mean, fit-point count, usable flag and p_max.
+_LOOKUP_ROWS = 17
 
-    Holding the class statistic, its log CCDF values and running sums
-    up front keeps evaluations cheap, which matters when a swarm calls
-    the loss thousands of times. Immutable after construction and safe
-    to share.
 
-    ``loss_at`` evaluates one point exactly from the residual array and
-    backs every reported number; ``objective_batch`` evaluates a whole
-    population from the running sums, in time independent of k, and
-    drives the optimizer.
+class ClassResiduals:
+    """Log residuals of a model on a sample's class statistic.
+
+    Holds only the k-1 fit points (the top class point is excluded),
+    their log incomes and their log empirical CCDF values.
     """
 
-    def __init__(self, sample: IncomeSample, k: int = DEFAULT_CLASS_POINTS):
-        if k < 2:
-            raise ValueError(f"need at least 2 class points, got {k}")
-        self.sample = sample
-        self.k = min(int(k), sample.n)
-        self.ccdf = build_ccdf(sample, self.k)
-        # a single CCDF knot leaves no crossover to interpolate
-        self.single_knot = self.ccdf.incomes.size < 2
-        points = self.ccdf.class_points
-        self.fit_points = points[:-1].copy()  # top class point excluded
+    def __init__(self, ccdf: EmpiricalCcdf):
+        self.fit_points = ccdf.class_points[:-1].copy()
         self.fit_log_income = np.log(self.fit_points)
-        fractions = self.ccdf.evaluate(self.fit_points)
-        self.fit_log_fraction = np.log(fractions)
-        self.mean = sample.mean
-
-        # Running sums for objective_batch: column s sums the body points
-        # [0, s) in rows 0-2 and the tail points [s, end) in rows 3-8.
-        # Body residuals y + x/T expand into sums of y^2, xy and x^2. Tail
-        # residuals are expanded about the means of y and u = log x, as
-        # w = y - mean(y) and v = u - mean(u), which keeps the
-        # cancellation near an optimum small.
-        x, y = self.fit_points, self.fit_log_fraction
-        self._y_mean = float(y.mean())
-        self._u_mean = float(self.fit_log_income.mean())
-        w = y - self._y_mean
-        v = self.fit_log_income - self._u_mean
-        tail_terms = np.array([np.ones_like(x), w, v, w * v, v * v, w * w])
-        self._sums = np.zeros((9, x.size + 1))
-        self._sums[:3, 1:] = np.cumsum([y * y, x * y, x * x], axis=1)
-        self._sums[3:, :-1] = np.cumsum(tail_terms[:, ::-1], axis=1)[:, ::-1]
+        self.fit_log_fraction = np.log(ccdf.evaluate(self.fit_points))
 
     def log_residuals(self, temperature: float, crossover: float, log_lam: float,
                       alpha: float) -> tuple[np.ndarray, int]:
@@ -130,32 +104,98 @@ class FitContext:
         r, _ = self.log_residuals(temperature, crossover, log_lam, alpha)
         return float(np.sqrt(np.mean(r * r)))
 
-    def _resolve(self, p, alpha, temperature):
-        """Crossover, exponent z = m_c/T, both penalties and validity per search point.
 
-        A point is valid when 0 < p <= 1, T > 0, alpha > 1, m_c > 0, z
-        does not overflow, some income lies below the crossover and the
-        CCDF has more than one knot; NaN makes it invalid. Invalid points
-        compute garbage under errstate, which callers mask.
+class FitContext(ClassResiduals):
+    """Precomputed empirical quantities shared by all loss evaluations.
+
+    Holding the class statistic, its log CCDF values and running sums
+    up front keeps evaluations cheap, which matters when a swarm calls
+    the loss thousands of times. Immutable after construction and safe
+    to share.
+
+    ``loss_at`` evaluates one point exactly from the residual array and
+    backs every reported number; ``objective_batch`` evaluates a whole
+    population from the running sums, in time independent of k, and
+    drives the optimizer.
+    """
+
+    def __init__(self, sample: IncomeSample, k: int = DEFAULT_CLASS_POINTS):
+        if k < 2:
+            raise ValueError(f"need at least 2 class points, got {k}")
+        self.sample = sample
+        self.k = min(int(k), sample.n)
+        self.ccdf = build_ccdf(sample, self.k)
+        super().__init__(self.ccdf)
+        # a single CCDF knot leaves no crossover to interpolate
+        self.single_knot = self.ccdf.incomes.size < 2
+        self.mean = sample.mean
+
+        # Running sums for objective_batch: column s sums the body points
+        # [0, s) in rows 0-2 and the tail points [s, end) in rows 3-8.
+        # Body residuals y + x/T expand into sums of y^2, xy and x^2. Tail
+        # residuals are expanded about the means of y and u = log x, as
+        # w = y - mean(y) and v = u - mean(u), which keeps the
+        # cancellation near an optimum small.
+        x, y = self.fit_points, self.fit_log_fraction
+        self._y_mean = float(y.mean())
+        self._u_mean = float(self.fit_log_income.mean())
+        w = y - self._y_mean
+        v = self.fit_log_income - self._u_mean
+        tail_terms = np.array([np.ones_like(x), w, v, w * v, v * v, w * w])
+        self._sums = np.zeros((9, x.size + 1))
+        self._sums[:3, 1:] = np.cumsum([y * y, x * y, x * x], axis=1)
+        self._sums[3:, :-1] = np.cumsum(tail_terms[:, ::-1], axis=1)[:, ::-1]
+
+        # Lookup tables: the interpolated inverse CCDF, and the ascending
+        # incomes from index _below up with their prefix sums.
+        self._fr_asc, self._inc_by_fr = self.ccdf._fr_asc, self.ccdf._inc_by_fr
+        self._ascending, self._prefix, self._below = sample.ascending, sample._prefix, 0
+        # lookup rows 12-16, the last one p_max
+        self._constants = np.array([self._y_mean, self._u_mean, float(self.fit_points.size),
+                                    float(not self.single_knot), 1.0])
+
+    def trimmed(self, p_max: float) -> "FitContext":
+        """This context for search points with p <= ``p_max`` only.
+
+        Those points read only the CCDF knots of fraction at most
+        ``p_max`` plus the next one, and the incomes from the first at
+        that knot's income up. The copy holds slices of just these, so
+        the full sample and CCDF can be freed: it has no ``sample`` or
+        ``ccdf``. Every point with p <= ``p_max`` scores exactly as
+        here; every other point scores the sentinel.
         """
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            m_c = self.ccdf.income_at(p)
-            z = m_c / temperature
-            count, total = self.sample.count_and_sum_below(m_c)
-            theo_mean = temperature - m_c / np.expm1(z)
-            mean_pen = np.abs(theo_mean / (total / count) - 1.0)
-            frac_pen = np.abs(np.exp(-z) / p - 1.0)
-        ok = ((p > 0.0) & (p <= 1.0) & (temperature > 0.0) & (alpha > 1.0)
-              & (m_c > 0.0) & (z <= _EXP_OVERFLOW) & (count > 0) & (not self.single_knot))
-        return m_c, z, mean_pen, frac_pen, ok
+        keep = min(int(np.searchsorted(self._fr_asc, p_max, side="right")) + 1,
+                   self._fr_asc.size)
+        below = int(np.searchsorted(self._ascending, self._inc_by_fr[keep - 1], side="left"))
+        trimmed = copy.copy(self)
+        trimmed.sample = trimmed.ccdf = None
+        trimmed._fr_asc = self._fr_asc[:keep].copy()
+        trimmed._inc_by_fr = self._inc_by_fr[:keep].copy()
+        trimmed._ascending = self._ascending[below:].copy()
+        trimmed._prefix = self._prefix[below:].copy()
+        trimmed._below = self._below + below
+        trimmed._constants = np.append(self._constants[:-1], min(self._constants[-1], p_max))
+        return trimmed
+
+    def _lookup(self, p: np.ndarray) -> np.ndarray:
+        """The ``_LOOKUP_ROWS`` table lookups of fractions ``p``, one column per point."""
+        out = np.empty((_LOOKUP_ROWS, p.size))
+        out[0] = m_c = np.interp(p, self._fr_asc, self._inc_by_fr)
+        below = self._ascending.searchsorted(m_c, side="left")
+        out[1] = below + self._below
+        self._prefix.take(below, out=out[2])
+        self._sums.take(self.fit_points.searchsorted(m_c, side="left"), axis=1, out=out[3:12])
+        out[12:] = self._constants[:, None]
+        return out
 
     def loss_at(self, p: float, alpha: float, temperature: float) -> LossBreakdown:
         """Evaluate the full loss; sentinel on degenerate configurations."""
-        m_c, z, mean_pen, frac_pen, ok = self._resolve(
-            np.array([p], dtype=float), alpha, temperature)
+        p_arr = np.array([p], dtype=float)
+        lookup = self._lookup(p_arr)
+        z, mean_pen, frac_pen, ok = _penalties(lookup, p_arr, alpha, temperature)
         if not ok[0]:
             return LossBreakdown.sentinel()
-        m_c, z = float(m_c[0]), float(z[0])
+        m_c, z = float(lookup[0, 0]), float(z[0])
         rmsle_val = self.residual_rmsle(temperature, m_c, -z, alpha)
         mean_pen, frac_pen = float(mean_pen[0]), float(frac_pen[0])
         params = TwoClassParams(math.exp(-z), temperature, alpha)
@@ -168,19 +208,54 @@ class FitContext:
         Agrees with ``loss_at(...).total`` to rounding and returns the
         sentinel under the same rules.
         """
-        p, alpha, temperature = np.asarray(X, dtype=float).T
-        m_c, z, mean_pen, frac_pen, ok = self._resolve(p, alpha, temperature)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            split = np.searchsorted(self.fit_points, m_c, side="left")
-            yy, xy, xx, n_tail, w, v, wv, vv, ww = self._sums.take(split, axis=1)
-            inv_t = 1.0 / temperature
-            sq_body = yy + inv_t * (2.0 * xy + inv_t * xx)
-            # tail residual y + z + alpha*(u - log m_c) = w + alpha*v + a
-            a = self._y_mean + z - alpha * (np.log(m_c) - self._u_mean)
-            sq_tail = (ww + alpha * (2.0 * wv + alpha * vv)
-                       + a * (2.0 * (w + alpha * v) + n_tail * a))
-            rmsle_val = np.sqrt(np.maximum(sq_body + sq_tail, 0.0) / self.fit_points.size)
-        return np.where(ok, rmsle_val + mean_pen + frac_pen, SENTINEL_LOSS)
+        return stacked_objective([self], [X])
+
+
+def _penalties(lookup, p, alpha, temperature):
+    """Exponent z = m_c/T, both penalties and validity per search point.
+
+    A point is valid when 0 < p <= p_max, T > 0, alpha > 1, m_c > 0, z
+    does not overflow, some income lies below the crossover and the
+    CCDF has more than one knot; NaN makes it invalid. Invalid points
+    compute garbage under errstate, which callers mask.
+    """
+    m_c, count, total = lookup[0], lookup[1], lookup[2]
+    usable, p_max = lookup[15], lookup[16]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = m_c / temperature
+        theo_mean = temperature - m_c / np.expm1(z)
+        mean_pen = np.abs(theo_mean / (total / count) - 1.0)
+        frac_pen = np.abs(np.exp(-z) / p - 1.0)
+    ok = ((p > 0.0) & (p <= p_max) & (temperature > 0.0) & (alpha > 1.0)
+          & (m_c > 0.0) & (z <= _EXP_OVERFLOW) & (count > 0) & (usable > 0.0))
+    return z, mean_pen, frac_pen, ok
+
+
+def stacked_objective(contexts, blocks) -> np.ndarray:
+    """Loss totals of the (n_i, 3) search-point ``blocks``, block i scored on ``contexts[i]``.
+
+    Each context looks up its own rows in its tables; the arithmetic then
+    runs once over all rows, so each value equals that context's own
+    ``objective_batch`` bit for bit. Values come back concatenated in
+    block order.
+    """
+    p, alpha, temperature = np.concatenate(blocks, dtype=float).T
+    ends = np.cumsum([len(block) for block in blocks]).tolist()
+    lookup = np.concatenate([context._lookup(p[end - len(block):end])
+                             for context, block, end in zip(contexts, blocks, ends)], axis=1)
+    m_c = lookup[0]
+    yy, xy, xx, n_tail, w, v, wv, vv, ww = lookup[3:12]
+    y_mean, u_mean, n_fit = lookup[12:15]
+    z, mean_pen, frac_pen, ok = _penalties(lookup, p, alpha, temperature)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv_t = 1.0 / temperature
+        sq_body = yy + inv_t * (2.0 * xy + inv_t * xx)
+        # tail residual y + z + alpha*(u - log m_c) = w + alpha*v + a
+        a = y_mean + z - alpha * (np.log(m_c) - u_mean)
+        sq_tail = (ww + alpha * (2.0 * wv + alpha * vv)
+                   + a * (2.0 * (w + alpha * v) + n_tail * a))
+        rmsle_val = np.sqrt(np.maximum(sq_body + sq_tail, 0.0) / n_fit)
+    return np.where(ok, rmsle_val + mean_pen + frac_pen, SENTINEL_LOSS)
 
 
 def resolve_params(x: SearchPoint, ccdf: EmpiricalCcdf) -> tuple[TwoClassParams, float]:

@@ -118,11 +118,12 @@ def build_series(samples_by_year: Mapping[int, IncomeSample],
                             for year, stream in zip(years, streams)], reference_year)
 
 
-def _rho(a: np.ndarray, b: np.ndarray) -> float:
-    a = a - a.mean()
-    b = b - b.mean()
-    denom = np.sqrt(np.sum(a * a) * np.sum(b * b))
-    return float(np.sum(a * b) / denom)
+def _rho(a: np.ndarray, b: np.ndarray):
+    """Pearson coefficient of two series, or row by row of two stacks of series."""
+    a = a - a.mean(axis=-1, keepdims=True)
+    b = b - b.mean(axis=-1, keepdims=True)
+    denom = np.sqrt(np.sum(a * a, axis=-1) * np.sum(b * b, axis=-1))
+    return np.sum(a * b, axis=-1) / denom
 
 
 def _t_test_p(rho: float, n: int) -> float:
@@ -152,17 +153,14 @@ def pearson(xs, ys, n_boot: int = 1000, seed: int = 0) -> PearsonResult:
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("correlation is undefined for a constant series")
 
-    rho = _rho(x, y)
+    rho = float(_rho(x, y))
     p_value = _t_test_p(rho, n)
 
-    rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(n_boot):
-        idx = rng.integers(0, n, size=n)
-        xb, yb = x[idx], y[idx]
-        if np.all(xb == xb[0]) or np.all(yb == yb[0]):
-            continue
-        draws.append(_rho(xb, yb))
+    # the one draw of n_boot rows equals n_boot draws of one row each
+    idx = np.random.default_rng(seed).integers(0, n, size=(n_boot, n))
+    xb, yb = x[idx], y[idx]
+    varied = ~(np.all(xb == xb[:, :1], axis=1) | np.all(yb == yb[:, :1], axis=1))
+    draws = _rho(xb[varied], yb[varied])
     rho_std = float(np.std(draws, ddof=1)) if len(draws) > 1 else float("nan")
     return PearsonResult(rho, rho_std, p_value, n)
 
@@ -191,7 +189,7 @@ def affine_regression(xs, ys) -> AffineFit:
     if np.all(y == y[0]):
         rho, p_value = float("nan"), float("nan")
     else:
-        rho = _rho(x, y)
+        rho = float(_rho(x, y))
         p_value = _t_test_p(rho, n)
     return AffineFit(slope, float(slope_se), intercept, float(intercept_se),
                      float(residual_se), rho, p_value, n)

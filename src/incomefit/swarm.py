@@ -15,11 +15,21 @@ gradients; refinement never returns a worse point than its input.
 An objective maps an (n, d) array of points to n values, so a whole
 population, or one refinement point with all probes of its gradient,
 costs one call.
+
+Each stage is a generator that yields the (n, d) rows it wants scored
+and is sent their values, ``values = yield rows``; it returns its
+result. ``drive`` runs many searches at once and scores the rows all of
+them wait on with one call per round, so searches on different
+objectives share the fixed cost of a call, and each search sees the
+same values as it would alone. ``initialize``, ``step``, ``refine`` and
+``optimize`` drive one stage or search on one objective.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,12 +81,18 @@ class SwarmState:
     informant_redraws: int = 0
 
 
+@lru_cache(maxsize=None)
+def _informant_rows(n: int, k: int) -> np.ndarray:
+    rows = np.repeat(np.arange(n), k)
+    rows.flags.writeable = False
+    return rows
+
+
 def _draw_informants(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """Membership matrix: each candidate joins k random sets plus its own."""
     informs = np.zeros((n, n), dtype=bool)
     targets = rng.integers(0, n, size=(n, k))
-    rows = np.repeat(np.arange(n), k)
-    informs[rows, targets.ravel()] = True
+    informs[_informant_rows(n, k), targets.ravel()] = True
     np.fill_diagonal(informs, True)
     return informs
 
@@ -89,8 +105,57 @@ def _neighborhood_best(informants: np.ndarray, pbest_positions: np.ndarray,
     return pbest_positions[idx]
 
 
-def initialize(config: SwarmConfig, objective) -> SwarmState:
-    """Seeded uniform start inside the box, with half-difference velocities."""
+@dataclass(eq=False)
+class OptimizeResult:
+    x: np.ndarray
+    value: float
+    trace: list[float]                  # best value after init, each iter, final refine
+    trace_points: list[np.ndarray]
+
+
+def drive(searches: list, evaluate) -> list:
+    """Run search generators to their ends and return their results in order.
+
+    Each round scores the rows every unfinished search waits on with one
+    ``evaluate(live, blocks)`` call, given the indices of those searches
+    and their row arrays; it returns the values of all rows, concatenated
+    in that order. Searches need not be in step: one in its polish shares
+    a round with one in its swarm, and a finished search leaves the rounds.
+    The searches run with numpy's floating-point warnings off, because a
+    non-finite probe scores 1e300 and its gradient may overflow the step
+    arithmetic; ``evaluate`` runs outside.
+    """
+    results = [None] * len(searches)
+    pending = {}
+
+    def advance(i, values):
+        try:
+            pending[i] = searches[i].send(values)
+        except StopIteration as stop:
+            pending.pop(i, None)
+            results[i] = stop.value
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(len(searches)):
+            advance(i, None)
+    while pending:
+        live = list(pending)
+        blocks = [pending[i] for i in live]
+        values = np.asarray(evaluate(live, blocks), dtype=float)
+        end = 0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for i, block in zip(live, blocks):
+                start, end = end, end + len(block)
+                advance(i, values[start:end])
+    return results
+
+
+def _drive_one(search, objective):
+    return drive([search], lambda live, blocks: objective(blocks[0]))[0]
+
+
+def _initialization(config: SwarmConfig):
+    """Generator form of ``initialize``."""
     rng = np.random.default_rng(config.seed)
     lo, hi = config.bounds[:, 0], config.bounds[:, 1]
     n, d = config.n_candidates, config.bounds.shape[0]
@@ -98,7 +163,7 @@ def initialize(config: SwarmConfig, objective) -> SwarmState:
     second = lo + (hi - lo) * rng.random((n, d))
     velocities = (second - positions) / 2.0
     informants = _draw_informants(rng, n, K_INFORMANTS)
-    values = np.asarray(objective(positions), dtype=float)
+    values = yield positions
     best_idx = int(np.argmin(values))
     return SwarmState(
         positions=positions,
@@ -113,8 +178,13 @@ def initialize(config: SwarmConfig, objective) -> SwarmState:
     )
 
 
-def step(state: SwarmState, config: SwarmConfig, objective) -> SwarmState:
-    """One swarm iteration; updates the state in place and returns it."""
+def initialize(config: SwarmConfig, objective) -> SwarmState:
+    """Seeded uniform start inside the box, with half-difference velocities."""
+    return _drive_one(_initialization(config), objective)
+
+
+def _stepping(state: SwarmState, config: SwarmConfig):
+    """Generator form of ``step``."""
     lo, hi = config.bounds[:, 0], config.bounds[:, 1]
     n, d = state.positions.shape
     if config.max_iters > 1:
@@ -135,7 +205,7 @@ def step(state: SwarmState, config: SwarmConfig, objective) -> SwarmState:
     state.positions = np.clip(state.positions, lo, hi)
     state.velocities[out] = 0.0
 
-    values = np.asarray(objective(state.positions), dtype=float)
+    values = yield state.positions
     better = values < state.pbest_values
     state.pbest_positions[better] = state.positions[better]
     state.pbest_values[better] = values[better]
@@ -149,6 +219,116 @@ def step(state: SwarmState, config: SwarmConfig, objective) -> SwarmState:
         state.informant_redraws += 1
     state.t += 1
     return state
+
+
+def step(state: SwarmState, config: SwarmConfig, objective) -> SwarmState:
+    """One swarm iteration; updates the state in place and returns it."""
+    return _drive_one(_stepping(state, config), objective)
+
+
+def _clip(v: float, lo: float, hi: float) -> float:
+    """``np.clip`` of one float."""
+    return lo if v < lo else hi if v > hi else v
+
+
+def _refinement(point, bounds, max_steps: int):
+    """Generator form of ``refine``.
+
+    Elementwise work on the d-vectors runs in Python floats, which round
+    as numpy's elementwise operations do; every reduction stays a numpy
+    call, whose summation order Python's would not match.
+    """
+    bounds = np.asarray(bounds, dtype=float)
+    lo, hi = bounds[:, 0].tolist(), bounds[:, 1].tolist()
+    width = (bounds[:, 1] - bounds[:, 0]).tolist()
+    box = list(zip(lo, hi, width))
+    x = [_clip(v, a, b) for v, (a, b, _) in zip(np.asarray(point, dtype=float).tolist(), box)]
+    f0 = float((yield np.array([x]))[0])
+    if not math.isfinite(f0):
+        return np.asarray(point, dtype=float).copy(), f0
+    best_x, best_f = np.array(x), f0
+
+    def value_and_gradient(x):
+        """Value and box-scaled gradient at ``x``, non-finite values as 1e300.
+
+        Keeps the best finite row seen.
+        """
+        nonlocal best_x, best_f
+        rows, probes = [x], []                      # rows x, x+h0, x-h0, x+h1, ...
+        for j, (v, (a, b, w)) in enumerate(zip(x, box)):
+            h = 1e-6 * max(abs(v), 1e-3 * w)
+            up, down = min(v + h, b), max(v - h, a)
+            probes.append((up, down, w))
+            for probe in (up, down):
+                row = x.copy()
+                row[j] = probe
+                rows.append(row)
+        rows = np.array(rows)
+        values = (yield rows).tolist()
+        finite = [v for v in values if math.isfinite(v)]
+        if finite:
+            low = min(finite)
+            if low < best_f:
+                best_f, best_x = low, rows[values.index(low)].copy()  # first of equal minima
+        if len(finite) < len(values):
+            values = [v if math.isfinite(v) else 1e300 for v in values]
+        gradient = [((values[2 * j + 1] - values[2 * j + 2]) / (up - down) if up != down
+                     else 0.0) * w for j, (up, down, w) in enumerate(probes)]
+        return values[0], gradient
+
+    f, g = yield from value_and_gradient(x)
+    g_vec = np.array(g)
+    H = np.eye(len(x))
+    updated = False
+    for _ in range(int(max_steps)):
+        u = [(v - a) / w for v, (a, _, w) in zip(x, box)]
+        if all(abs(_clip(ui - gi, 0.0, 1.0) - ui) <= PROJECTED_GRADIENT
+               for ui, gi in zip(u, g)):
+            break
+        free = [not ((ui <= 0.0 and gi > 0.0) or (ui >= 1.0 and gi < 0.0))
+                for ui, gi in zip(u, g)]
+        if all(free):                               # the product below, without the copies
+            direction = -H @ g_vec
+        else:
+            free = np.array(free)
+            direction = np.zeros(len(x))
+            direction[free] = -H[np.ix_(free, free)] @ g_vec[free]
+        t = 1.0 if updated else float(min(1.0, 1.0 / np.linalg.norm(direction)))
+        direction = direction.tolist()
+        if not all(map(math.isfinite, direction)):
+            break
+        for _ in range(MAX_TRIALS):
+            x_new = [_clip(v + t * e * w, a, b) for v, e, (a, b, w) in zip(x, direction, box)]
+            s = [(vn - v) / w for vn, v, (_, _, w) in zip(x_new, x, box)]
+            s_vec = np.array(s)
+            slope = float(g_vec @ s_vec)
+            f_new, g_new = yield from value_and_gradient(x_new)
+            if f_new <= f + C_ARMIJO * slope:
+                break
+            curvature = f_new - f - slope
+            shrink = -slope / (2.0 * curvature) if curvature > 0.0 else 0.5
+            t *= min(max(shrink, 0.1), 0.5)
+        else:
+            break
+        y = np.array([b - a for a, b in zip(g, g_new)])
+        sy = float(s_vec @ y)
+        if sy > 0.0:
+            if not updated:
+                H = np.eye(len(x)) * (sy / float(y @ y))
+                updated = True
+            rho = 1.0 / sy
+            Hy = H @ y
+            c = rho * rho * float(y @ Hy) + rho
+            Hy = Hy.tolist()
+            # c * outer(s, s) - rho * (outer(Hy, s) + outer(s, Hy)), element by element
+            H += np.array([[c * (si * sj) - rho * (hi * sj + si * hj) for sj, hj in zip(s, Hy)]
+                           for si, hi in zip(s, Hy)])
+        decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        g_vec = np.array(g)
+        if decrease <= RELATIVE_DECREASE:
+            break
+    return best_x, best_f
 
 
 def refine(point, objective, bounds, max_steps: int) -> tuple[np.ndarray, float]:
@@ -167,107 +347,34 @@ def refine(point, objective, bounds, max_steps: int) -> tuple[np.ndarray, float]
     on a projected gradient of at most ``PROJECTED_GRADIENT``, or when no
     trial step is accepted.
     """
-    bounds = np.asarray(bounds, dtype=float)
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    width = hi - lo
-    x = np.clip(np.asarray(point, dtype=float), lo, hi)
-    f0 = float(objective(x[None, :])[0])
-    if not np.isfinite(f0):
-        return np.asarray(point, dtype=float).copy(), f0
-    best_x, best_f = x.copy(), f0
-    d = x.size
-    idx = np.arange(d)
-
-    def value_and_gradient(x):
-        """Value and box-scaled gradient at ``x``, non-finite values as 1e300; keeps the best finite row."""
-        nonlocal best_x, best_f
-        h = 1e-6 * np.maximum(np.abs(x), 1e-3 * width)
-        up, down = np.minimum(x + h, hi), np.maximum(x - h, lo)
-        rows = np.repeat(x[None, :], 2 * d + 1, axis=0)  # rows x, x+h0, x-h0, x+h1, ...
-        rows[2 * idx + 1, idx] = up
-        rows[2 * idx + 2, idx] = down
-        values = np.asarray(objective(rows), dtype=float)
-        finite = np.isfinite(values)
-        i = int(np.argmin(np.where(finite, values, np.inf)))  # first of equal minima
-        if finite[i] and values[i] < best_f:
-            best_f, best_x = float(values[i]), rows[i].copy()
-        values = np.where(finite, values, 1e300)
-        gradient = np.divide(values[1::2] - values[2::2], up - down, out=np.zeros(d),
-                             where=up != down)
-        return float(values[0]), gradient * width
-
-    f, g = value_and_gradient(x)
-    H = np.eye(d)
-    updated = False
-    # a non-finite probe scores 1e300, and its gradient may overflow the step arithmetic
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(int(max_steps)):
-            u = (x - lo) / width
-            if np.max(np.abs(np.clip(u - g, 0.0, 1.0) - u)) <= PROJECTED_GRADIENT:
-                break
-            free = ~(((u <= 0.0) & (g > 0.0)) | ((u >= 1.0) & (g < 0.0)))
-            direction = np.zeros(d)
-            direction[free] = -H[np.ix_(free, free)] @ g[free]
-            if not np.all(np.isfinite(direction)):
-                break
-            t = 1.0 if updated else min(1.0, 1.0 / np.linalg.norm(direction))
-            for _ in range(MAX_TRIALS):
-                x_new = np.clip(x + t * direction * width, lo, hi)
-                s = (x_new - x) / width
-                slope = float(g @ s)
-                f_new, g_new = value_and_gradient(x_new)
-                if f_new <= f + C_ARMIJO * slope:
-                    break
-                curvature = f_new - f - slope
-                shrink = -slope / (2.0 * curvature) if curvature > 0.0 else 0.5
-                t *= min(max(shrink, 0.1), 0.5)
-            else:
-                break
-            y = g_new - g
-            sy = float(s @ y)
-            if sy > 0.0:
-                if not updated:
-                    H = np.eye(d) * (sy / float(y @ y))
-                    updated = True
-                rho = 1.0 / sy
-                Hy = H @ y
-                H += (rho * rho * float(y @ Hy) + rho) * np.outer(s, s) \
-                    - rho * (np.outer(Hy, s) + np.outer(s, Hy))
-            decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
-            x, f, g = x_new, f_new, g_new
-            if decrease <= RELATIVE_DECREASE:
-                break
-    return best_x, best_f
+    return _drive_one(_refinement(point, bounds, max_steps), objective)
 
 
-@dataclass(eq=False)
-class OptimizeResult:
-    x: np.ndarray
-    value: float
-    trace: list[float]                  # best value after init, each iter, final refine
-    trace_points: list[np.ndarray]
-
-
-def optimize(config: SwarmConfig, objective) -> OptimizeResult:
-    """Run the full hybrid schedule and return the best point ever seen."""
-    state = initialize(config, objective)
+def search(config: SwarmConfig):
+    """Generator form of ``optimize``."""
+    state = yield from _initialization(config)
     best_x, best_value = state.best_x.copy(), state.best_value
     trace = [best_value]
     trace_points = [best_x.copy()]
     for t in range(1, config.max_iters + 1):
-        step(state, config, objective)
+        yield from _stepping(state, config)
         if state.best_value < best_value:
             best_value = state.best_value
             best_x = state.best_x.copy()
         if config.refine_every and t % config.refine_every == 0:
-            rx, rv = refine(best_x, objective, config.bounds, config.refine_max_steps)
+            rx, rv = yield from _refinement(best_x, config.bounds, config.refine_max_steps)
             if rv < best_value:
                 best_value, best_x = rv, rx.copy()
         trace.append(best_value)
         trace_points.append(best_x.copy())
-    rx, rv = refine(best_x, objective, config.bounds, config.refine_max_steps)
+    rx, rv = yield from _refinement(best_x, config.bounds, config.refine_max_steps)
     if rv < best_value:
         best_value, best_x = rv, rx.copy()
     trace.append(best_value)
     trace_points.append(best_x.copy())
     return OptimizeResult(best_x, best_value, trace, trace_points)
+
+
+def optimize(config: SwarmConfig, objective) -> OptimizeResult:
+    """Run the full hybrid schedule and return the best point ever seen."""
+    return _drive_one(search(config), objective)

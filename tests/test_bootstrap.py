@@ -19,7 +19,7 @@ from incomefit import (
     sample_incomes,
 )
 from incomefit.bootstrap import INDICATORS, _class_rmsle
-from incomefit.objective import FitContext
+from incomefit.objective import ClassResiduals, FitContext
 
 QUICK = FitSettings(k=600, n_candidates=16, max_iters=50, refine_every=15,
                     refine_max_steps=30)
@@ -187,7 +187,8 @@ class TestOutOfBagError:
             ccdf = build_ccdf(test, min(k, test.n))
             pts = ccdf.class_points[:-1]
             expected = rmsle(ccdf.evaluate(pts), model_ccdf(params, pts))
-            assert _class_rmsle(params, test, k) == pytest.approx(expected, rel=1e-9)
+            residuals = ClassResiduals(build_ccdf(test, k))
+            assert _class_rmsle(params, residuals) == pytest.approx(expected, rel=1e-9)
 
 
 def _two_part_rmsle(sample, k, base):

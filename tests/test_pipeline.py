@@ -423,6 +423,20 @@ class TestSeriesInput:
         code, err = run_series(self.GOOD, years=(2002, 2003))
         assert code == 1 and "at least 3 years" in err
 
+    @pytest.mark.parametrize("years, message", [
+        ((2001, 2002, 2003, 2003), "--year 2003 given more than once"),
+        (("20x1", 2002, 2003), "--year needs an integer year"),
+    ])
+    def test_bad_year_rejected_before_any_file_is_read(self, run_series, monkeypatch,
+                                                       years, message):
+        def no_read(*args, **kwargs):
+            raise AssertionError("a file was read before the years were checked")
+
+        monkeypatch.setattr(pipeline_module, "ingest", no_read)
+        monkeypatch.setattr(pipeline_module, "read_deflators", no_read)
+        code, err = run_series(self.GOOD, years=years)
+        assert code == 1 and message in err
+
     def test_bad_index_rejected_before_ingest(self, run_series, monkeypatch):
         def no_ingest(*args, **kwargs):
             raise AssertionError("a year was read before the deflators were checked")
@@ -570,6 +584,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and f"column {named!r} appears 2 times" in err
+
+    def test_filter_column_named_twice(self, synth_csv, tmp_path, capsys):
+        code = main(["fit", str(synth_csv), "--filter", "sex=a", "--filter", "sex=b",
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert "--filter names column 'sex' more than once" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_cli_import_leaves_out_scipy_stats(self):
         src = str(Path(incomefit.__file__).resolve().parent.parent)

@@ -116,6 +116,23 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
 
+    @pytest.mark.parametrize("n", [3, 7, 8, 9, 20])
+    def test_spread_equals_one_draw_per_resample(self, n):
+        # the reference loop draws each resample on its own and skips constant ones
+        x = np.arange(n) + np.random.default_rng(n).random(n)
+        y = np.where(np.arange(n) < 2, x, 0.0)   # a resample of y missing both x's is constant
+        rng = np.random.default_rng(9)
+        draws = []
+        for _ in range(1000):
+            idx = rng.integers(0, n, size=n)
+            xb, yb = x[idx], y[idx]
+            if np.all(xb == xb[0]) or np.all(yb == yb[0]):
+                continue
+            a, b = xb - xb.mean(), yb - yb.mean()
+            draws.append(float(np.sum(a * b) / np.sqrt(np.sum(a * a) * np.sum(b * b))))
+        assert len(draws) < 1000
+        assert pearson(x, y, seed=9).rho_std == float(np.std(draws, ddof=1))
+
     def test_known_correlation_inside_bootstrap_band(self):
         # bivariate normal with population correlation 0.9, 19 paired points
         target = 0.9

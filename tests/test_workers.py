@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from incomefit import FitSettings, TwoClassParams, _pool, bootstrap, run_validation, sample_incomes
+from incomefit import (FitSettings, IncomeSample, TwoClassParams, _pool, bootstrap,
+                       run_validation, sample_incomes)
 from incomefit import series as series_module
 from incomefit.cli import main
 from incomefit.fitting import FitError
@@ -142,15 +143,15 @@ def test_read_error_beats_fit_error_and_earliest_year_wins(tmp_path, at_workers,
 
 
 def test_drop_lines_in_replica_order(at_workers, monkeypatch, caplog):
-    fit = bootstrap.fit_sample
+    pair = bootstrap.bootstrap_pair
 
-    def fail_some(sample, settings, seed):
-        # the swarm stream of replica r is child 1 of child r: spawn key (r, 1)
+    def fail_some(sample, seed):
+        # the resampling stream of replica r is child 0 of child r: spawn key (r, 0)
         if seed.spawn_key[0] in (1, 4):
             raise FitError(f"forced drop of replica {seed.spawn_key[0]}")
-        return fit(sample, settings, seed=seed)
+        return pair(sample, seed)
 
-    monkeypatch.setattr(bootstrap, "fit_sample", fail_some)
+    monkeypatch.setattr(bootstrap, "bootstrap_pair", fail_some)
     sample = sample_incomes(TwoClassParams(0.08, 1800.0, 1.5), 2_000, seed=6)
     expected = ["replica 1 dropped: forced drop of replica 1",
                 "replica 4 dropped: forced drop of replica 4"]
@@ -159,3 +160,22 @@ def test_drop_lines_in_replica_order(at_workers, monkeypatch, caplog):
         summary = at_workers(n, run_validation, sample, 6, TINY_SETTINGS, 1)
         assert [r.replica for r in summary.replicas] == [0, 2, 3, 5]
         assert caplog.messages == expected
+
+
+@pytest.mark.parametrize("sample, kept", [
+    (sample_incomes(TwoClassParams(0.08, 1800.0, 1.5), 2_000, seed=7), 12),
+    (IncomeSample([5.0, 5.0, 5.0, 9.0]), 6),    # a replica that resamples only the 5s drops
+], ids=["two-class", "ties"])
+def test_validation_records_equal_at_any_group_size(sample, kept, at_workers, monkeypatch,
+                                                    caplog):
+    """Group caps of 1, 2, 10 and R, on 1 and 2 workers, give the same records and drops."""
+    replicas = 12
+    outcomes = []
+    for group_max in (1, 2, 10, replicas):
+        monkeypatch.setattr(bootstrap, "GROUP_MAX", group_max)
+        for n in (1, 2):
+            caplog.clear()
+            summary = at_workers(n, run_validation, sample, replicas, TINY_SETTINGS, 8)
+            outcomes.append((summary.replicas, summary.stats, caplog.messages))
+    assert all(other == outcomes[0] for other in outcomes[1:])
+    assert len(outcomes[0][0]) == kept
