@@ -64,6 +64,10 @@ class IncomeSample:
         np.cumsum(asc, out=self._prefix[1:])
         self.mean = float(self._prefix[-1] / self.n)
 
+    def __reduce__(self):
+        # only the ascending array is pickled; unpickling makes it read-only again
+        return IncomeSample._from_ascending, (self._ascending,)
+
     @property
     def ascending(self) -> np.ndarray:
         return self._ascending

@@ -80,12 +80,13 @@ def _parse_filters(pairs) -> dict[str, str]:
     return filters
 
 
-def _spec_from_args(args, stratify: bool = False) -> DatasetSpec:
+def _spec_from_args(args) -> DatasetSpec:
     return DatasetSpec(
         path=args.data,
         income_column=args.income_col,
         filters=_parse_filters(args.filter),
-        stratify_by=getattr(args, "stratify_by", None) if stratify else None,
+        # fit and baseline have no --stratify-by
+        stratify_by=getattr(args, "stratify_by", None),
     )
 
 
@@ -146,7 +147,7 @@ def main(argv=None) -> int:
                   f"crossover={fit.crossover:.6g} loss={fit.loss.total:.6g}")
         elif args.command == "bootstrap":
             settings, seed = _resolve_settings(args)
-            summaries = cmd_bootstrap(_spec_from_args(args, stratify=True),
+            summaries = cmd_bootstrap(_spec_from_args(args),
                                       args.replicas, args.out_dir, settings, seed)
             for name, summary in summaries.items():
                 print(f"{name}: effective replicas {summary.n_effective}/{summary.n_requested}")

@@ -76,8 +76,10 @@ def _piecewise(params: TwoClassParams, m, body, tail):
 
 def model_ccdf(params: TwoClassParams, m):
     """CCDF at income ``m`` (scalar or array); continuous at the crossover."""
+    # below m_c, exp(-m/T) exceeds lam = exp(-m_c/T) but can round under it
+    # next to m_c; the floor keeps the CCDF from rising into the tail
     return _piecewise(params, m,
-                      lambda x: np.exp(-x / params.temperature),
+                      lambda x: np.maximum(np.exp(-x / params.temperature), params.lam),
                       lambda x, m_c: params.lam * np.power(x / m_c, -params.alpha))
 
 

@@ -33,8 +33,8 @@ from .series import (
     IndicatorSeries,
     YearRecord,
     affine_regression,
+    build_series,
     check_deflators,
-    fit_year,
     pearson,
 )
 
@@ -402,19 +402,9 @@ def read_deflators(path: str | Path) -> dict[int, float]:
     return deflators
 
 
-def _year(shared: tuple[dict[int, float], int, FitSettings],
-          item: tuple[int, DatasetSpec, np.random.SeedSequence]):
-    """Read and fit one year: ``(None, record)``, or the failed stage and its error."""
-    deflators, reference_year, settings = shared
-    year, spec, stream = item
-    try:
-        sample = ingest(spec).sample
-    except (ValueError, OSError) as exc:
-        return "ingest", exc
-    try:
-        return None, fit_year(year, sample, deflators, reference_year, settings, stream)
-    except ValueError as exc:
-        return "fit", exc
+def _read_sample(shared: None, spec: DatasetSpec) -> IncomeSample:
+    """One year's cleaned incomes, read on a worker."""
+    return ingest(spec).sample
 
 
 def cmd_series(specs_by_year: dict[int, DatasetSpec], deflator_path: str | Path,
@@ -423,10 +413,9 @@ def cmd_series(specs_by_year: dict[int, DatasetSpec], deflator_path: str | Path,
                seed: int = 0) -> IndicatorSeries:
     """Per-year fits, deflation, correlations and regression outputs.
 
-    Years are read and fitted on worker processes; as in ``build_series``,
-    year i fits with child i of ``SeedSequence(seed).spawn(len(years))``.
-    Errors surface as if every year were read before any was fitted: a
-    read error before a fit error, and the earliest year's first.
+    The deflators are checked first. Every year is then read on worker
+    processes, and the samples are fitted by ``build_series``. A read
+    error so comes before any fit, and the earliest year's error first.
     """
     if len(specs_by_year) < 3:
         raise ValueError(f"need at least 3 years for correlations, got {len(specs_by_year)}")
@@ -435,15 +424,8 @@ def cmd_series(specs_by_year: dict[int, DatasetSpec], deflator_path: str | Path,
     deflators = read_deflators(deflator_path)
     check_deflators(deflators, specs_by_year, reference_year)
     years = sorted(specs_by_year)
-    streams = np.random.SeedSequence(seed).spawn(len(years))
-    outcomes = map_in_order(_year, [(year, specs_by_year[year], stream)
-                                    for year, stream in zip(years, streams)],
-                            (deflators, reference_year, settings))
-    for stage in ("ingest", "fit"):
-        for failed, error in outcomes:
-            if failed == stage:
-                raise error
-    series = IndicatorSeries([record for _, record in outcomes], reference_year)
+    samples = map_in_order(_read_sample, [specs_by_year[year] for year in years], None)
+    series = build_series(dict(zip(years, samples)), deflators, reference_year, settings, seed)
 
     _write_records(out / "series.csv", YearRecord, series.records)
 

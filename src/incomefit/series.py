@@ -15,6 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from ._pool import map_in_order
 from .ccdf import IncomeSample
 from .fitting import FitSettings, fit_sample
 
@@ -77,16 +78,18 @@ def check_deflators(deflators: Mapping[int, float], years: Iterable[int],
         raise ValueError(f"deflator index must be positive and finite for year(s): {bad}")
 
 
-def fit_year(year: int, sample: IncomeSample, deflators: Mapping[int, float],
-             reference_year: int, settings: FitSettings,
-             seed: np.random.SeedSequence) -> YearRecord:
+def _fit_and_deflate(shared: tuple[Mapping[int, IncomeSample], Mapping[int, float], int,
+                                    FitSettings],
+                     item: tuple[int, np.random.SeedSequence]) -> YearRecord:
     """Fit one year's sample and deflate its currency indicators.
 
     Deflated value = nominal value * (reference-year index / year index).
     Both the temperature and the crossover carry currency units, so both
     are deflated.
     """
-    fit = fit_sample(sample, settings, seed=seed)
+    samples_by_year, deflators, reference_year, settings = shared
+    year, stream = item
+    fit = fit_sample(samples_by_year[year], settings, seed=stream)
     factor = float(deflators[reference_year]) / float(deflators[year])
     return YearRecord(
         year=year,
@@ -107,15 +110,16 @@ def build_series(samples_by_year: Mapping[int, IncomeSample],
                  seed: int = 0) -> IndicatorSeries:
     """Fit every year and deflate to reference-year currency.
 
-    Years are processed in ascending order; year i is fitted with child
-    i of ``SeedSequence(seed).spawn(len(years))``.
+    Years are fitted on worker processes and kept in ascending order;
+    year i is fitted with child i of ``SeedSequence(seed).spawn(len(years))``.
+    A failed fit raises its error, the earliest year's first.
     """
     years = sorted(samples_by_year)
     check_deflators(deflators, years, reference_year)
     streams = np.random.SeedSequence(seed).spawn(len(years))
-    return IndicatorSeries([fit_year(year, samples_by_year[year], deflators, reference_year,
-                                     settings, stream)
-                            for year, stream in zip(years, streams)], reference_year)
+    records = map_in_order(_fit_and_deflate, list(zip(years, streams)),
+                           (samples_by_year, deflators, reference_year, settings))
+    return IndicatorSeries(records, reference_year)
 
 
 def _rho(a: np.ndarray, b: np.ndarray):

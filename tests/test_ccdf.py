@@ -1,5 +1,7 @@
 """Empirical CCDF, class statistic, inverse interpolation and Gini."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,14 @@ class TestIncomeSample:
         assert np.shares_memory(s.values, s.ascending)
         with pytest.raises(ValueError, match="read-only"):
             s.values[0] = 0.5
+
+    def test_pickle_round_trip_stays_read_only(self, exp_sample):
+        # samples come back from worker processes by pickle
+        back = pickle.loads(pickle.dumps(exp_sample))
+        assert not back.ascending.flags.writeable
+        assert back.ascending.tobytes() == exp_sample.ascending.tobytes()
+        assert back._prefix.tobytes() == exp_sample._prefix.tobytes()
+        assert back.mean == exp_sample.mean and back.n == exp_sample.n
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from incomefit import (FitSettings, IncomeSample, TwoClassParams, _pool, bootstrap,
-                       run_validation, sample_incomes)
+                       build_series, run_validation, sample_incomes)
 from incomefit import series as series_module
 from incomefit.cli import main
 from incomefit.fitting import FitError
@@ -140,6 +140,37 @@ def test_read_error_beats_fit_error_and_earliest_year_wins(tmp_path, at_workers,
     assert code == 1
     assert captured.err == f"error: [Errno 2] No such file or directory: " \
                            f"'{tmp_path / '2002.csv'}'\n"
+
+
+@pytest.fixture(scope="module")
+def year_samples():
+    return {year: sample_incomes(TwoClassParams(0.08, 1500.0 + 50 * i, 1.6 + 0.05 * i),
+                                 1_500, seed=year)
+            for i, year in enumerate((2001, 2002, 2003, 2004))}
+
+
+def test_build_series_records_equal(year_samples, at_workers):
+    deflators = {year: 90.0 + 3 * i for i, year in enumerate(year_samples)}
+    records = [at_workers(n, build_series, year_samples, deflators, 2004, TINY_SETTINGS,
+                          4).records for n in COUNTS]
+    assert [r.year for r in records[0]] == [2001, 2002, 2003, 2004]
+    assert all(other == records[0] for other in records[1:])
+
+
+def test_build_series_earliest_failed_fit_wins(year_samples, at_workers, monkeypatch):
+    fit = series_module.fit_sample
+
+    def fail_some(sample, *args, **kwargs):
+        for year in (2002, 2004):
+            if sample is year_samples[year]:
+                raise FitError(f"no fit for {year}")
+        return fit(sample, *args, **kwargs)
+
+    monkeypatch.setattr(series_module, "fit_sample", fail_some)
+    deflators = dict.fromkeys(year_samples, 1.0)
+    for n in (1, 2):
+        with pytest.raises(FitError, match="^no fit for 2002$"):
+            at_workers(n, build_series, year_samples, deflators, 2001, TINY_SETTINGS)
 
 
 def test_drop_lines_in_replica_order(at_workers, monkeypatch, caplog):
