@@ -77,12 +77,10 @@ class IncomeSample:
         """The incomes in descending order, a view of ``ascending``."""
         return self._ascending[::-1]
 
-    def count_and_sum_below(self, cutoff):
-        """Number and sum of incomes strictly below ``cutoff`` (scalar or array)."""
-        idx = np.searchsorted(self._ascending, cutoff, side="left")
-        if np.ndim(idx) == 0:
-            return int(idx), float(self._prefix[idx])
-        return idx, self._prefix[idx]
+    def count_and_sum_below(self, cutoff: float) -> tuple[int, float]:
+        """Number and sum of incomes strictly below ``cutoff``."""
+        idx = int(np.searchsorted(self._ascending, cutoff, side="left"))
+        return idx, float(self._prefix[idx])
 
     def __len__(self) -> int:
         return self.n
@@ -101,7 +99,7 @@ class EmpiricalCcdf:
 
     def __init__(self, ascending: np.ndarray, first: np.ndarray, class_points: np.ndarray):
         self.n = int(ascending.size)
-        # interpolation tables for income_at: fractions ascending, knot incomes descending
+        # interpolation tables for inverse: fractions ascending, knot incomes descending
         by_fraction = first[::-1]
         self._fr_asc = (self.n - by_fraction) / self.n
         self._inc_by_fr = ascending[by_fraction]
@@ -133,11 +131,7 @@ class EmpiricalCcdf:
         """
         if not 0.0 < p <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {p}")
-        return float(self.income_at(p))
-
-    def income_at(self, p):
-        """Interpolated income at fraction(s) ``p``, without the range check of ``inverse``."""
-        return np.interp(p, self._fr_asc, self._inc_by_fr)
+        return float(np.interp(p, self._fr_asc, self._inc_by_fr))
 
     def __repr__(self) -> str:
         return f"EmpiricalCcdf(knots={self.incomes.size}, k={self.k}, n={self.n})"
@@ -164,11 +158,6 @@ def build_ccdf(sample: IncomeSample, k: int = DEFAULT_CLASS_POINTS) -> Empirical
     # a knot is the first index of a run of equal incomes; n minus it counts incomes >= it
     first = np.concatenate(([0], np.flatnonzero(asc[1:] != asc[:-1]) + 1))
     return EmpiricalCcdf(asc, first, class_statistic(sample, k))
-
-
-def inverse_ccdf(ccdf: EmpiricalCcdf, p: float) -> float:
-    """Income with interpolated C(m) = p; see ``EmpiricalCcdf.inverse``."""
-    return ccdf.inverse(p)
 
 
 def empirical_mean(sample: IncomeSample, upper_cutoff: float | None = None) -> float:

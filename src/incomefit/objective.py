@@ -114,9 +114,9 @@ class FitContext(ClassResiduals):
     to share.
 
     ``loss_at`` evaluates one point exactly from the residual array and
-    backs every reported number; ``objective_batch`` evaluates a whole
-    population from the running sums, in time independent of k, and
-    drives the optimizer.
+    backs every reported number; ``stacked_objective`` scores whole
+    populations on one or more contexts from their running sums, in time
+    independent of k, and drives the optimizer.
     """
 
     def __init__(self, sample: IncomeSample, k: int = DEFAULT_CLASS_POINTS):
@@ -130,7 +130,7 @@ class FitContext(ClassResiduals):
         self.single_knot = self.ccdf.incomes.size < 2
         self.mean = sample.mean
 
-        # Running sums for objective_batch: column s sums the body points
+        # Running sums for stacked_objective: column s sums the body points
         # [0, s) in rows 0-2 and the tail points [s, end) in rows 3-8.
         # Body residuals y + x/T expand into sums of y^2, xy and x^2. Tail
         # residuals are expanded about the means of y and u = log x, as
@@ -202,14 +202,6 @@ class FitContext(ClassResiduals):
         return LossBreakdown(rmsle_val, mean_pen, frac_pen,
                              rmsle_val + mean_pen + frac_pen, params, m_c)
 
-    def objective_batch(self, X) -> np.ndarray:
-        """Loss totals of an (n, 3) array of search points, one per row.
-
-        Agrees with ``loss_at(...).total`` to rounding and returns the
-        sentinel under the same rules.
-        """
-        return stacked_objective([self], [X])
-
 
 def _penalties(lookup, p, alpha, temperature):
     """Exponent z = m_c/T, both penalties and validity per search point.
@@ -235,9 +227,10 @@ def stacked_objective(contexts, blocks) -> np.ndarray:
     """Loss totals of the (n_i, 3) search-point ``blocks``, block i scored on ``contexts[i]``.
 
     Each context looks up its own rows in its tables; the arithmetic then
-    runs once over all rows, so each value equals that context's own
-    ``objective_batch`` bit for bit. Values come back concatenated in
-    block order.
+    runs once over all rows, so each block scores bit for bit as it would
+    stacked alone. Each value agrees with ``loss_at(...).total`` to
+    rounding and is the sentinel under the same rules. Values come back
+    concatenated in block order.
     """
     p, alpha, temperature = np.concatenate(blocks, dtype=float).T
     ends = np.cumsum([len(block) for block in blocks]).tolist()

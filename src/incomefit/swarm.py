@@ -21,13 +21,16 @@ and is sent their values, ``values = yield rows``; it returns its
 result. ``drive`` runs many searches at once and scores the rows all of
 them wait on with one call per round, so searches on different
 objectives share the fixed cost of a call, and each search sees the
-same values as it would alone. ``initialize``, ``step``, ``refine`` and
-``optimize`` drive one stage or search on one objective.
+same values as it would alone. ``search`` is the full hybrid schedule;
+``initialize``, ``step`` and ``refine`` are its stages, and a single
+stage or search on one objective runs as
+``drive([stage], lambda live, blocks: objective(blocks[0]))[0]``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,11 +50,11 @@ PROJECTED_GRADIENT = 1e-5               # stop below this box-scaled projected g
 @dataclass(eq=False)
 class SwarmConfig:
     bounds: np.ndarray                  # (d, 2) [lo, hi] per dimension
-    n_candidates: int = 40
-    max_iters: int = 200
-    seed: int | np.random.SeedSequence = 0
-    refine_every: int = 10              # 0 disables periodic refinement
-    refine_max_steps: int = 100
+    n_candidates: int
+    max_iters: int
+    seed: int | np.random.SeedSequence
+    refine_every: int                   # 0 disables periodic refinement
+    refine_max_steps: int
 
     def __post_init__(self):
         self.bounds = np.asarray(self.bounds, dtype=float)
@@ -65,6 +68,9 @@ class SwarmConfig:
             raise ValueError("need at least 2 candidates")
         if self.max_iters < 1:
             raise ValueError("need at least 1 iteration")
+        for name in ("refine_every", "refine_max_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
 
 
 @dataclass(eq=False)
@@ -150,12 +156,8 @@ def drive(searches: list, evaluate) -> list:
     return results
 
 
-def _drive_one(search, objective):
-    return drive([search], lambda live, blocks: objective(blocks[0]))[0]
-
-
-def _initialization(config: SwarmConfig):
-    """Generator form of ``initialize``."""
+def initialize(config: SwarmConfig) -> Generator[np.ndarray, np.ndarray, SwarmState]:
+    """Seeded uniform start inside the box, with half-difference velocities."""
     rng = np.random.default_rng(config.seed)
     lo, hi = config.bounds[:, 0], config.bounds[:, 1]
     n, d = config.n_candidates, config.bounds.shape[0]
@@ -178,13 +180,9 @@ def _initialization(config: SwarmConfig):
     )
 
 
-def initialize(config: SwarmConfig, objective) -> SwarmState:
-    """Seeded uniform start inside the box, with half-difference velocities."""
-    return _drive_one(_initialization(config), objective)
-
-
-def _stepping(state: SwarmState, config: SwarmConfig):
-    """Generator form of ``step``."""
+def step(state: SwarmState,
+         config: SwarmConfig) -> Generator[np.ndarray, np.ndarray, SwarmState]:
+    """One swarm iteration; updates the state in place and returns it."""
     lo, hi = config.bounds[:, 0], config.bounds[:, 1]
     n, d = state.positions.shape
     if config.max_iters > 1:
@@ -221,18 +219,27 @@ def _stepping(state: SwarmState, config: SwarmConfig):
     return state
 
 
-def step(state: SwarmState, config: SwarmConfig, objective) -> SwarmState:
-    """One swarm iteration; updates the state in place and returns it."""
-    return _drive_one(_stepping(state, config), objective)
-
-
 def _clip(v: float, lo: float, hi: float) -> float:
     """``np.clip`` of one float."""
     return lo if v < lo else hi if v > hi else v
 
 
-def _refinement(point, bounds, max_steps: int):
-    """Generator form of ``refine``.
+def refine(point, bounds,
+           max_steps: int) -> Generator[np.ndarray, np.ndarray, tuple[np.ndarray, float]]:
+    """Bounded quasi-Newton polish from ``point``; never returns a worse point.
+
+    Gradients are central finite differences with relative step 1e-6 per
+    coordinate, falling back to one-sided differences at the box faces;
+    each visited point is scored in one call together with its 2d probes.
+    A non-finite objective at the start point returns it unchanged.
+
+    The search runs BFGS in box-scaled coordinates ``u = (x - lo) / (hi - lo)``:
+    coordinates on a face whose gradient points out of the box are held,
+    the step ``-H g`` on the others is projected onto the box and
+    backtracked to the Armijo condition. It stops after ``max_steps``
+    accepted steps, on a relative decrease of at most ``RELATIVE_DECREASE``,
+    on a projected gradient of at most ``PROJECTED_GRADIENT``, or when no
+    trial step is accepted.
 
     Elementwise work on the d-vectors runs in Python floats, which round
     as numpy's elementwise operations do; every reduction stays a numpy
@@ -331,50 +338,27 @@ def _refinement(point, bounds, max_steps: int):
     return best_x, best_f
 
 
-def refine(point, objective, bounds, max_steps: int) -> tuple[np.ndarray, float]:
-    """Bounded quasi-Newton polish from ``point``; never returns a worse point.
-
-    Gradients are central finite differences with relative step 1e-6 per
-    coordinate, falling back to one-sided differences at the box faces;
-    each visited point is scored in one call together with its 2d probes.
-    A non-finite objective at the start point returns it unchanged.
-
-    The search runs BFGS in box-scaled coordinates ``u = (x - lo) / (hi - lo)``:
-    coordinates on a face whose gradient points out of the box are held,
-    the step ``-H g`` on the others is projected onto the box and
-    backtracked to the Armijo condition. It stops after ``max_steps``
-    accepted steps, on a relative decrease of at most ``RELATIVE_DECREASE``,
-    on a projected gradient of at most ``PROJECTED_GRADIENT``, or when no
-    trial step is accepted.
-    """
-    return _drive_one(_refinement(point, bounds, max_steps), objective)
-
-
-def search(config: SwarmConfig):
-    """Generator form of ``optimize``."""
-    state = yield from _initialization(config)
+def search(config: SwarmConfig) -> Generator[np.ndarray, np.ndarray, OptimizeResult]:
+    """Run the full hybrid schedule and return the best point ever seen."""
+    state = yield from initialize(config)
     best_x, best_value = state.best_x.copy(), state.best_value
     trace = [best_value]
     trace_points = [best_x.copy()]
     for t in range(1, config.max_iters + 1):
-        yield from _stepping(state, config)
+        yield from step(state, config)
         if state.best_value < best_value:
             best_value = state.best_value
             best_x = state.best_x.copy()
         if config.refine_every and t % config.refine_every == 0:
-            rx, rv = yield from _refinement(best_x, config.bounds, config.refine_max_steps)
+            rx, rv = yield from refine(best_x, config.bounds, config.refine_max_steps)
             if rv < best_value:
                 best_value, best_x = rv, rx.copy()
         trace.append(best_value)
         trace_points.append(best_x.copy())
-    rx, rv = yield from _refinement(best_x, config.bounds, config.refine_max_steps)
+    rx, rv = yield from refine(best_x, config.bounds, config.refine_max_steps)
     if rv < best_value:
         best_value, best_x = rv, rx.copy()
     trace.append(best_value)
     trace_points.append(best_x.copy())
     return OptimizeResult(best_x, best_value, trace, trace_points)
 
-
-def optimize(config: SwarmConfig, objective) -> OptimizeResult:
-    """Run the full hybrid schedule and return the best point ever seen."""
-    return _drive_one(search(config), objective)

@@ -11,7 +11,6 @@ from incomefit import (
     class_statistic,
     empirical_gini,
     empirical_mean,
-    inverse_ccdf,
 )
 
 
@@ -134,7 +133,7 @@ class TestInverseCcdf:
         s = IncomeSample([10.0, 10.0, 20.0, 20.0])
         ccdf = build_ccdf(s)
         # knots: (10, 1.0), (20, 0.5); halfway fraction 0.75 -> income 15
-        assert inverse_ccdf(ccdf, 0.75) == pytest.approx(15.0)
+        assert ccdf.inverse(0.75) == pytest.approx(15.0)
 
     def test_midpoint_between_inner_knots(self):
         # knots include (10, 0.5) and (20, 0.25); fraction midway -> income midway
@@ -142,37 +141,37 @@ class TestInverseCcdf:
         ccdf = build_ccdf(s)
         assert ccdf.evaluate(10.0) == 0.5
         assert ccdf.evaluate(20.0) == 0.25
-        assert inverse_ccdf(ccdf, 0.375) == pytest.approx(15.0)
+        assert ccdf.inverse(0.375) == pytest.approx(15.0)
 
     def test_knot_fractions_return_knot_incomes(self):
         rng = np.random.default_rng(5)
         s = IncomeSample(np.round(rng.exponential(size=300), 2) + 0.01)
         ccdf = build_ccdf(s)
         for income, frac in zip(ccdf.incomes, ccdf.fractions):
-            assert inverse_ccdf(ccdf, float(frac)) == pytest.approx(float(income))
+            assert ccdf.inverse(float(frac)) == pytest.approx(float(income))
 
     def test_exponential_quantile(self, exp_sample):
         # inverse of the exponential CCDF: C(m) = exp(-m/T) -> m = -T ln p
         ccdf = build_ccdf(exp_sample)
-        assert inverse_ccdf(ccdf, np.exp(-1.0)) == pytest.approx(1.0, abs=0.03)
+        assert ccdf.inverse(np.exp(-1.0)) == pytest.approx(1.0, abs=0.03)
 
     def test_clamps_below_smallest_fraction(self):
         s = IncomeSample([1.0, 2.0, 3.0, 4.0])
         ccdf = build_ccdf(s)
-        assert inverse_ccdf(ccdf, 1e-9) == 4.0
+        assert ccdf.inverse(1e-9) == 4.0
         assert ccdf.min_fraction == 0.25
 
     def test_rejects_out_of_range(self, small_sample):
         ccdf = build_ccdf(small_sample)
         with pytest.raises(ValueError):
-            inverse_ccdf(ccdf, 0.0)
+            ccdf.inverse(0.0)
         with pytest.raises(ValueError):
-            inverse_ccdf(ccdf, 1.5)
+            ccdf.inverse(1.5)
 
     def test_monotone_in_fraction(self, exp_sample):
         ccdf = build_ccdf(exp_sample)
         ps = np.linspace(1e-4, 1.0, 300)
-        incomes = np.array([inverse_ccdf(ccdf, p) for p in ps])
+        incomes = np.array([ccdf.inverse(p) for p in ps])
         assert np.all(np.diff(incomes) <= 0)
 
 

@@ -24,6 +24,7 @@ from incomefit import (
     rmsle,
     sample_incomes,
 )
+from incomefit.objective import stacked_objective
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +269,7 @@ class TestObjectiveBatch:
         points = bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * rng.random((20_000, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = ctx.objective_batch(points)
+            batch = stacked_objective([ctx], [points])
         exact = self.exact(ctx, points)
         assert batch.shape == (20_000,)
         np.testing.assert_allclose(batch, exact, rtol=self.REL, atol=0)
@@ -279,7 +280,7 @@ class TestObjectiveBatch:
         points = optimum * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, (2000, 3)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = ctx.objective_batch(points)
+            batch = stacked_objective([ctx], [points])
         np.testing.assert_allclose(batch, self.exact(ctx, points), rtol=self.REL, atol=0)
 
     def test_matches_reference_oracle(self, case):
@@ -291,7 +292,7 @@ class TestObjectiveBatch:
         ])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = ctx.objective_batch(points)
+            batch = stacked_objective([ctx], [points])
         oracle = np.array([self.oracle(ctx, x) for x in points])
         np.testing.assert_allclose(batch, oracle, rtol=self.REL, atol=0)
 
@@ -312,7 +313,7 @@ class TestObjectiveBatch:
         ])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = ctx.objective_batch(rows)
+            values = stacked_objective([ctx], [rows])
         exact = self.exact(ctx, rows)
         assert np.all(exact[1:] == SENTINEL_LOSS)
         assert values[0] == pytest.approx(exact[0], rel=self.REL)
@@ -322,5 +323,6 @@ class TestObjectiveBatch:
         ctx = FitContext(IncomeSample([7.0] * 50), k=10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = ctx.objective_batch(np.array([[0.1, 2.0, 7.0], [0.5, 1.5, 3.0]]))
+            rows = np.array([[0.1, 2.0, 7.0], [0.5, 1.5, 3.0]])
+            values = stacked_objective([ctx], [rows])
         assert np.all(values == SENTINEL_LOSS)

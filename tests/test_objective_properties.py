@@ -55,7 +55,7 @@ def test_stacked_equals_each_context_alone(data):
     group = [c.trimmed(P_MAX) if data.draw(st.booleans()) else c for c in group]
     blocks = [data.draw(points(c, p_range=(-0.05, 1.1))) for c in group]
     stacked = stacked_objective(group, blocks)
-    alone = np.concatenate([c.objective_batch(X) for c, X in zip(group, blocks)])
+    alone = np.concatenate([stacked_objective([c], [X]) for c, X in zip(group, blocks)])
     assert stacked.tobytes() == alone.tobytes()
 
 
@@ -70,11 +70,12 @@ def test_trimmed_tables_score_like_full_ones(data):
     at_knots = np.column_stack([knots, np.full(knots.size, 1.7),
                                 np.full(knots.size, context.mean)])
     for X in (inside, at_knots):
-        assert trimmed.objective_batch(X).tobytes() == context.objective_batch(X).tobytes()
+        assert (stacked_objective([trimmed], [X]).tobytes()
+                == stacked_objective([context], [X]).tobytes())
     for x in inside[:5]:
         assert trimmed.loss_at(*x) == context.loss_at(*x)
     above = data.draw(points(context, p_range=(np.nextafter(p_max, 1.0), 1.0)))
-    assert np.all(trimmed.objective_batch(above) == SENTINEL_LOSS)
+    assert np.all(stacked_objective([trimmed], [above]) == SENTINEL_LOSS)
 
 
 @settings(max_examples=100, deadline=None)
@@ -82,7 +83,7 @@ def test_trimmed_tables_score_like_full_ones(data):
 def test_batch_agrees_with_reference_composition(data):
     context = data.draw(contexts())
     X = data.draw(points(context))
-    batch = context.objective_batch(X)
+    batch = stacked_objective([context], [X])
     for x, value in zip(X, batch):
         if value == SENTINEL_LOSS:
             continue

@@ -14,7 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from incomefit import refine  # noqa: E402
+from incomefit import drive, refine  # noqa: E402
 from incomefit.swarm import PROJECTED_GRADIENT  # noqa: E402
 
 
@@ -56,6 +56,11 @@ def quadratic(bounds, curvature, c, seen=None):
     return objective
 
 
+def run(stage, objective):
+    """The result of one stage, its rows scored by ``objective``."""
+    return drive([stage], lambda live, blocks: objective(blocks[0]))[0]
+
+
 def scaled(bounds, x):
     return (x - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
 
@@ -66,7 +71,7 @@ def test_rows_inside_box_and_never_worse(problem, max_steps):
     bounds, curvature, c, start = problem
     seen = []
     objective = quadratic(bounds, curvature, c, seen)
-    x, f_end = refine(start, objective, bounds, max_steps)
+    x, f_end = run(refine(start, bounds, max_steps), objective)
     rows = np.concatenate(seen)
     assert np.all(rows >= bounds[:, 0]) and np.all(rows <= bounds[:, 1])
     f_start = objective(np.clip(start, bounds[:, 0], bounds[:, 1])[None, :])[0]
@@ -77,7 +82,7 @@ def test_rows_inside_box_and_never_worse(problem, max_steps):
 @given(problems(st.floats(0.1, 0.9)))
 def test_interior_minimum_reached(problem):
     bounds, curvature, c, start = problem
-    x, _ = refine(start, quadratic(bounds, curvature, c), bounds, max_steps=50)
+    x, _ = run(refine(start, bounds, max_steps=50), quadratic(bounds, curvature, c))
     assert np.max(np.abs(scaled(bounds, x) - c)) <= 1e-5
 
 
@@ -89,7 +94,7 @@ def test_outside_minimum_clipped_onto_box(problem):
     # projected-gradient stop; the loss the others leave is small beside the
     # loss the held ones keep, as the relative-decrease stop implies
     bounds, curvature, c, start = problem
-    x, _ = refine(start, quadratic(bounds, curvature, c), bounds, max_steps=50)
+    x, _ = run(refine(start, bounds, max_steps=50), quadratic(bounds, curvature, c))
     u, target = scaled(bounds, x), np.clip(c, 0.0, 1.0)
     held = target != c
     assert np.all(np.abs(u - target)[held] <= PROJECTED_GRADIENT)

@@ -1,6 +1,7 @@
 """Swarm dynamics, informant topology, quasi-Newton refinement, hybrid run.
 
-Objectives map an (n, d) array of points to n values.
+Objectives map an (n, d) array of points to n values. Each stage or
+search is a generator, run to its end on one objective by ``run``.
 """
 
 import numpy as np
@@ -8,17 +9,38 @@ import pytest
 
 from incomefit import (
     FitContext,
+    FitSettings,
     SwarmConfig,
     TwoClassParams,
+    drive,
     initialize,
-    optimize,
     refine,
     sample_incomes,
+    search,
     step,
 )
+from incomefit.objective import stacked_objective
 from incomefit.swarm import _draw_informants
 
 BOX = np.array([[0.0, 1.0], [-2.0, 2.0], [10.0, 30.0]])
+DEFAULTS = FitSettings()
+
+
+def run(stage, objective):
+    """The result of one stage or search, its rows scored by ``objective``."""
+    return drive([stage], lambda live, blocks: objective(blocks[0]))[0]
+
+
+def swarm_config(bounds=BOX, **fields):
+    """A swarm over ``bounds``; fields not given take the fit defaults and seed 0."""
+    schedule = {"n_candidates": DEFAULTS.n_candidates, "max_iters": DEFAULTS.max_iters,
+                "seed": 0, "refine_every": DEFAULTS.refine_every,
+                "refine_max_steps": DEFAULTS.refine_max_steps}
+    return SwarmConfig(bounds=bounds, **{**schedule, **fields})
+
+
+def context_objective(ctx):
+    return lambda X: stacked_objective([ctx], [X])
 
 
 def sphere_factory(target):
@@ -37,16 +59,15 @@ class TestInitialize:
             d = rng.integers(1, 5)
             lo = rng.uniform(-10, 10, d)
             hi = lo + rng.uniform(0.1, 10, d)
-            config = SwarmConfig(bounds=np.c_[lo, hi], n_candidates=8,
-                                 max_iters=5, seed=int(trial))
-            state = initialize(config, lambda x: np.sum(x ** 2, axis=-1))
+            config = swarm_config(np.c_[lo, hi], n_candidates=8, max_iters=5, seed=int(trial))
+            state = run(initialize(config), lambda x: np.sum(x ** 2, axis=-1))
             assert np.all(state.positions >= lo) and np.all(state.positions <= hi)
 
     def test_seed_determinism_bitwise(self):
-        config = SwarmConfig(bounds=BOX, n_candidates=12, max_iters=10, seed=5)
+        config = swarm_config(n_candidates=12, max_iters=10, seed=5)
         objective = sphere_factory([0.5, 0.0, 20.0])
-        a = initialize(config, objective)
-        b = initialize(config, objective)
+        a = run(initialize(config), objective)
+        b = run(initialize(config), objective)
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.velocities, b.velocities)
         assert np.array_equal(a.pbest_values, b.pbest_values)
@@ -54,8 +75,8 @@ class TestInitialize:
 
     def test_velocity_is_half_difference_of_uniform_draws(self):
         # reproduce the draw stream: positions then a second uniform block
-        config = SwarmConfig(bounds=BOX, n_candidates=6, max_iters=5, seed=3)
-        state = initialize(config, sphere_factory([0.5, 0.0, 20.0]))
+        config = swarm_config(n_candidates=6, max_iters=5, seed=3)
+        state = run(initialize(config), sphere_factory([0.5, 0.0, 20.0]))
         rng = np.random.default_rng(3)
         lo, hi = BOX[:, 0], BOX[:, 1]
         x = lo + (hi - lo) * rng.random((6, 3))
@@ -64,8 +85,8 @@ class TestInitialize:
         assert np.allclose(state.velocities, (u2 - x) / 2.0)
 
     def test_personal_bests_start_at_positions(self):
-        config = SwarmConfig(bounds=BOX, n_candidates=9, max_iters=5, seed=11)
-        state = initialize(config, sphere_factory([0.2, 1.0, 15.0]))
+        config = swarm_config(n_candidates=9, max_iters=5, seed=11)
+        state = run(initialize(config), sphere_factory([0.2, 1.0, 15.0]))
         assert np.array_equal(state.pbest_positions, state.positions)
 
     def test_informant_set_size_matches_direct_simulation(self):
@@ -99,9 +120,9 @@ class TestStep:
     def test_stationary_fixed_point(self):
         # a candidate sitting at its own personal best, which is also its
         # neighborhood best, with zero velocity does not move
-        config = SwarmConfig(bounds=BOX, n_candidates=4, max_iters=10, seed=2)
+        config = swarm_config(n_candidates=4, max_iters=10, seed=2)
         objective = sphere_factory([0.5, 0.0, 20.0])
-        state = initialize(config, objective)
+        state = run(initialize(config), objective)
         state.velocities[:] = 0.0
         state.positions[:] = state.pbest_positions
         # make candidate 0 the best everywhere so nbest == pbest == position
@@ -111,29 +132,28 @@ class TestStep:
         np.fill_diagonal(state.informants, True)
         state.informants[0, :] = True  # candidate 0 informs everyone
         before = state.positions[0].copy()
-        step(state, config, objective)
+        run(step(state, config), objective)
         assert np.array_equal(state.positions[0], before)
         assert np.array_equal(state.velocities[0], 0.0 * before)
 
     def test_sphere_convergence_without_refinement(self):
         # pure swarm dynamics, no quasi-Newton polish anywhere
         target = np.array([0.61, -0.37, 17.3])
-        config = SwarmConfig(bounds=BOX, n_candidates=40, max_iters=200, seed=4)
+        config = swarm_config(n_candidates=40, max_iters=200, seed=4)
         objective = sphere_factory(target)
-        state = initialize(config, objective)
+        state = run(initialize(config), objective)
         for _ in range(config.max_iters):
-            step(state, config, objective)
+            run(step(state, config), objective)
         assert np.all(np.abs(state.best_x - target) < 1e-4)
 
     def test_boundary_optimum_clamps_with_zero_velocity(self):
         # optimum outside the box: the swarm should pile onto the face
         target = np.array([-1.0, 0.0, 20.0])  # below the lo=0 face of dim 0
-        config = SwarmConfig(bounds=BOX, n_candidates=30, max_iters=80,
-                             seed=8, refine_every=0)
+        config = swarm_config(n_candidates=30, max_iters=80, seed=8, refine_every=0)
         objective = sphere_factory(target)
-        state = initialize(config, objective)
+        state = run(initialize(config), objective)
         for _ in range(config.max_iters):
-            step(state, config, objective)
+            run(step(state, config), objective)
             assert np.all(state.positions >= BOX[:, 0])
             assert np.all(state.positions <= BOX[:, 1])
         assert state.best_x[0] == 0.0
@@ -142,8 +162,7 @@ class TestStep:
         assert np.all(state.velocities[pinned, 0] == 0.0)
 
     def test_personal_best_equals_min_over_visits(self):
-        config = SwarmConfig(bounds=BOX, n_candidates=10, max_iters=40,
-                             seed=13, refine_every=0)
+        config = swarm_config(n_candidates=10, max_iters=40, seed=13, refine_every=0)
         history = []
 
         def recording(x):
@@ -151,26 +170,25 @@ class TestStep:
             history.extend(values.tolist())
             return values
 
-        state = initialize(config, recording)
+        state = run(initialize(config), recording)
         visits = [[v] for v in history[-config.n_candidates:]]
         for _ in range(config.max_iters):
             mark = len(history)
-            step(state, config, recording)
+            run(step(state, config), recording)
             for i, v in enumerate(history[mark:mark + config.n_candidates]):
                 visits[i].append(v)
         for i in range(config.n_candidates):
             assert state.pbest_values[i] == min(visits[i])
 
     def test_informants_redraw_iff_no_improvement(self):
-        config = SwarmConfig(bounds=BOX, n_candidates=8, max_iters=60,
-                             seed=17, refine_every=0)
+        config = swarm_config(n_candidates=8, max_iters=60, seed=17, refine_every=0)
         objective = sphere_factory([0.5, 0.0, 20.0])
-        state = initialize(config, objective)
+        state = run(initialize(config), objective)
         redraws = 0
         for _ in range(config.max_iters):
             best_before = state.best_value
             count_before = state.informant_redraws
-            step(state, config, objective)
+            run(step(state, config), objective)
             improved = state.best_value < best_before
             assert state.informant_redraws == count_before + (0 if improved else 1)
             redraws = state.informant_redraws
@@ -180,14 +198,14 @@ class TestStep:
 class TestRefine:
     def test_quadratic_bowl_converges(self):
         target = np.array([0.4, 0.8, 18.0])
-        x, val = refine(np.array([0.9, -1.5, 27.0]), sphere_factory(target),
-                        BOX, max_steps=50)
+        x, val = run(refine(np.array([0.9, -1.5, 27.0]), BOX, max_steps=50),
+                     sphere_factory(target))
         assert val < 1e-8
         assert np.all(np.abs(x - target) < 1e-4)
 
     def test_start_at_minimum_unchanged(self):
         target = np.array([0.4, 0.8, 18.0])
-        x, val = refine(target, sphere_factory(target), BOX, max_steps=50)
+        x, val = run(refine(target, BOX, max_steps=50), sphere_factory(target))
         assert val == 0.0
         assert np.allclose(x, target)
 
@@ -199,8 +217,8 @@ class TestRefine:
         rng = np.random.default_rng(23)
         for _ in range(100):
             start = bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * rng.random(3)
-            f_start = ctx.objective_batch(start[None, :])[0]
-            _, f_end = refine(start, ctx.objective_batch, bounds, max_steps=15)
+            f_start = stacked_objective([ctx], [start[None, :]])[0]
+            _, f_end = run(refine(start, bounds, max_steps=15), context_objective(ctx))
             assert f_end <= f_start
 
     def test_nonfinite_start_returns_input(self):
@@ -208,14 +226,14 @@ class TestRefine:
             return np.full(len(x), np.nan)
 
         start = np.array([0.5, 0.0, 20.0])
-        x, val = refine(start, bad, BOX, max_steps=10)
+        x, val = run(refine(start, BOX, max_steps=10), bad)
         assert np.array_equal(x, start)
 
 
 class TestOptimize:
     def test_trace_monotone_nonincreasing(self):
-        config = SwarmConfig(bounds=BOX, n_candidates=15, max_iters=50, seed=29)
-        result = optimize(config, sphere_factory([0.7, 1.1, 12.0]))
+        config = swarm_config(n_candidates=15, max_iters=50, seed=29)
+        result = run(search(config), sphere_factory([0.7, 1.1, 12.0]))
         assert np.all(np.diff(result.trace) <= 0)
 
     def test_same_seed_identical_different_seed_close(self):
@@ -224,25 +242,73 @@ class TestOptimize:
         bounds = np.array([[1e-6, 0.2], [1.0, 3.0],
                            [ctx.mean / 2, 2 * ctx.mean]])
 
-        def run(seed):
-            config = SwarmConfig(bounds=bounds, n_candidates=25, max_iters=80,
-                                 seed=seed)
-            return optimize(config, ctx.objective_batch)
+        def fit(seed):
+            config = swarm_config(bounds, n_candidates=25, max_iters=80, seed=seed)
+            return run(search(config), context_objective(ctx))
 
-        a, b = run(1), run(1)
+        a, b = fit(1), fit(1)
         assert np.array_equal(a.x, b.x)
         assert a.value == b.value
         assert a.trace == b.trace
-        c = run(2)
+        c = fit(2)
         assert abs(a.value - c.value) < 1e-3
 
     def test_final_refinement_runs_even_with_periodic_disabled(self):
         target = np.array([0.61, -0.37, 17.3])
-        config = SwarmConfig(bounds=BOX, n_candidates=10, max_iters=10,
-                             seed=37, refine_every=0)
-        result = optimize(config, sphere_factory(target))
+        config = swarm_config(n_candidates=10, max_iters=10, seed=37, refine_every=0)
+        result = run(search(config), sphere_factory(target))
         # ten swarm iterations alone cannot hit 1e-10; the final polish can
         assert result.value < 1e-10
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field", ["refine_every", "refine_max_steps"])
+    def test_rejects_negative_refine_settings(self, field):
+        # refine_every=-3 would still refine every third iteration, as t % -3 == 0
+        with pytest.raises(ValueError, match=field):
+            swarm_config(**{field: -3})
+
+
+class TestDrive:
+    def test_searches_driven_together_match_each_alone(self):
+        contexts = [FitContext(sample_incomes(TwoClassParams(0.1, T, alpha), 20_000, seed=seed),
+                            k=k)
+                    for T, alpha, seed, k in [(1500.0, 2.0, 41, 400), (900.0, 1.6, 43, 150)]]
+        spheres = [sphere_factory([0.2, 1.5, 25.0]), sphere_factory([0.9, -0.4, 11.0])]
+        objectives = [context_objective(ctx) for ctx in contexts] + spheres
+        box = [np.array([[1e-6, 0.2], [1.0, 3.0], [ctx.mean / 2, 2 * ctx.mean]])
+               for ctx in contexts] + [BOX, BOX]
+        schedules = [dict(n_candidates=12, max_iters=25, refine_every=10, seed=1),
+                     dict(n_candidates=7, max_iters=1, refine_every=0, refine_max_steps=0,
+                          seed=2),             # done after its first four rounds
+                     dict(n_candidates=9, max_iters=30, refine_every=7, seed=3),
+                     dict(n_candidates=5, max_iters=12, refine_every=0, seed=4)]
+        configs = [swarm_config(b, **schedule) for b, schedule in zip(box, schedules)]
+        rounds = []
+
+        def evaluate(live, blocks):
+            # the context searches' rows in one stacked call, each sphere's on its own
+            rounds.append(list(live))
+            on_context = [j for j, i in enumerate(live) if i < len(contexts)]
+            values = [None if i < len(contexts) else objectives[i](block)
+                      for i, block in zip(live, blocks)]
+            if on_context:
+                stacked = stacked_objective([contexts[live[j]] for j in on_context],
+                                            [blocks[j] for j in on_context])
+                ends = np.cumsum([len(blocks[j]) for j in on_context])[:-1]
+                for j, part in zip(on_context, np.split(stacked, ends)):
+                    values[j] = part
+            return np.concatenate(values)
+
+        together = drive([search(config) for config in configs], evaluate)
+        assert 1 in rounds[3] and all(1 not in live for live in rounds[4:])
+        for config, objective, result in zip(configs, objectives, together):
+            alone = run(search(config), objective)
+            assert result.x.tobytes() == alone.x.tobytes()
+            assert result.value == alone.value
+            assert np.array(result.trace).tobytes() == np.array(alone.trace).tobytes()
+            assert (np.array(result.trace_points).tobytes()
+                    == np.array(alone.trace_points).tobytes())
 
 
 class TestCallShape:
@@ -259,20 +325,20 @@ class TestCallShape:
         return objective
 
     def test_initialize_and_step_one_population_call(self):
-        config = SwarmConfig(bounds=BOX, n_candidates=7, max_iters=5, seed=3)
+        config = swarm_config(n_candidates=7, max_iters=5, seed=3)
         shapes = []
         objective = self.recording_sphere(shapes)
-        state = initialize(config, objective)
+        state = run(initialize(config), objective)
         assert shapes == [(7, 3)]
         for _ in range(config.max_iters):
             shapes.clear()
-            step(state, config, objective)
+            run(step(state, config), objective)
             assert shapes == [(7, 3)]
 
     def test_refine_point_and_gradient_calls(self):
         shapes = []
-        refine(np.array([0.9, -1.5, 27.0]), self.recording_sphere(shapes), BOX,
-               max_steps=5)
+        run(refine(np.array([0.9, -1.5, 27.0]), BOX, max_steps=5),
+            self.recording_sphere(shapes))
         assert shapes[0] == (1, 3)
         assert set(shapes[1:]) == {(7, 3)}
 
@@ -291,7 +357,7 @@ class TestCallShape:
             values[4] = 1.0
             return values
 
-        x, val = refine(start, objective, BOX, max_steps=1)
+        x, val = run(refine(start, BOX, max_steps=1), objective)
         first_call = next(c for c in calls if len(c) == 7)
         assert val == 1.0
         assert np.array_equal(x, first_call[1])
