@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _pool
 from .ccdf import DEFAULT_CLASS_POINTS, IncomeSample, build_ccdf
-from .fitting import ALPHA_MIN, P_MAX, FitError, FitSettings, fit_group, solution
+from .fitting import ALPHA_MIN, FitError, FitSettings, fit_group, solution
 from .model import TwoClassParams, theoretical_gini
 from .objective import ClassResiduals, FitContext
 
@@ -110,12 +110,11 @@ def _prepare(sample: IncomeSample, settings: FitSettings, resample: np.random.Se
              ) -> tuple[FitContext, ClassResiduals]:
     """The train set's search context and the test set's class statistic.
 
-    Only what the fit and the out-of-bag error read is kept: the search
-    never scores p > P_MAX, so the context is trimmed to it.
+    Neither keeps its sample, so a replica waiting in its group holds only
+    what the fit and the out-of-bag error read.
     """
     train, test = bootstrap_pair(sample, resample)
-    return (FitContext(train, settings.k).trimmed(P_MAX),
-            ClassResiduals(build_ccdf(test, settings.k)))
+    return FitContext(train, settings.k), ClassResiduals(build_ccdf(test, settings.k))
 
 
 def _replica_group(shared: tuple[IncomeSample, FitSettings],
@@ -211,23 +210,25 @@ def fixed_proportion_fit(sample: IncomeSample, lam0: float = 0.05,
     """
     if not 0.0 < lam0 < 1.0:
         raise ValueError(f"tail proportion must be in (0, 1), got {lam0}")
-    context = FitContext(sample, k)
+    ccdf = build_ccdf(sample, k)
+    train = ClassResiduals(ccdf)
     temperature = sample.mean
-    m_c = context.ccdf.inverse(lam0)
-    split = int(np.searchsorted(context.fit_points, m_c))
-    g = context.fit_log_income[split:] - math.log(m_c)
+    m_c = ccdf.inverse(lam0)
+    log_lam0 = np.log(lam0)
+    # at alpha = 0 the tail residual is the log fraction minus log lam0
+    r, split = train.log_residuals(temperature, m_c, log_lam0, 0.0)
+    g = train.fit_log_income[split:] - math.log(m_c)
     # only points above the crossover carry the slope; with none, alpha is undefined
     n_tail = int(np.count_nonzero(g > 0.0))
     if n_tail < 10:
         raise ValueError(f"only {n_tail} class points above the crossover; "
                          "need at least 10 to fit the tail index")
-    log_lam0 = np.log(lam0)
     # the tail residual r0 + alpha*g is linear in alpha, so its square is a
     # parabola whose minimiser over the range is the clipped slope
-    r0 = context.fit_log_fraction[split:] - log_lam0
+    r0 = r[split:]
     alpha = float(np.clip(-(r0 @ g) / (g @ g), *alpha_bounds))
     model = (temperature, m_c, log_lam0, alpha)
     test_rmsle = None
     if test_sample is not None:
-        test_rmsle = FitContext(test_sample, k).residual_rmsle(*model)
-    return BaselineFit(lam0, temperature, alpha, m_c, context.residual_rmsle(*model), test_rmsle)
+        test_rmsle = ClassResiduals(build_ccdf(test_sample, k)).residual_rmsle(*model)
+    return BaselineFit(lam0, temperature, alpha, m_c, train.residual_rmsle(*model), test_rmsle)

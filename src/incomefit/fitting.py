@@ -9,13 +9,12 @@ import numpy as np
 
 from .ccdf import DEFAULT_CLASS_POINTS, IncomeSample, empirical_gini
 from .model import TwoClassParams, theoretical_gini
-from .objective import FitContext, LossBreakdown, SearchPoint, stacked_objective
+from .objective import P_MAX, FitContext, LossBreakdown, SearchPoint, stacked_objective
 from .swarm import OptimizeResult, SwarmConfig, drive, search
 
 
-# The search box of every fit: the Pareto class holds at most a fifth of
-# people, a finite mean needs alpha > 1, and T lies near the sample mean.
-P_MAX = 0.2
+# The search box of every fit: p up to objective.P_MAX, a finite mean
+# needs alpha > 1, and T lies near the sample mean.
 ALPHA_MIN = 1.0
 T_SCALES = (0.5, 2.0)
 
@@ -113,7 +112,7 @@ def fit_group(contexts: list[FitContext], settings: FitSettings,
 
 def solution(context: FitContext, result: OptimizeResult) -> LossBreakdown:
     """Loss breakdown at the best point found; FitError when it is degenerate."""
-    breakdown = context.loss_at(*result.x)
+    breakdown = context.loss_at(*result.x.tolist())
     if breakdown.degenerate or breakdown.params is None:
         raise FitError("optimizer found no non-degenerate model for this sample")
     return breakdown
@@ -146,7 +145,7 @@ def fit_sample(sample: IncomeSample, settings: FitSettings = FitSettings(),
         n_exponential=n_exp,
         rmsle_pareto=rmsle_par,
         n_pareto=n_par,
-        crossover_clamped=point.p < context.ccdf.min_fraction,
+        crossover_clamped=point.p < context.min_fraction,
         seed=seed,
         settings=settings,
         trace=result.trace,

@@ -15,7 +15,6 @@ raising, so a population optimizer can keep ranking candidates.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -31,6 +30,9 @@ from .ccdf import (
 from .model import TwoClassParams, exponential_regime_mean, _EXP_OVERFLOW
 
 SENTINEL_LOSS = 1.0e6
+# The largest crossover fraction any fit searches: the Pareto class holds at
+# most a fifth of people. Every point with p above it scores the sentinel.
+P_MAX = 0.2
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,8 @@ class LossBreakdown:
 
 # Rows of the table lookups of one search point (see FitContext._lookup): crossover,
 # count and sum of incomes below it, the 9 running sums at its split, then the
-# context's constants y_mean, u_mean, fit-point count, usable flag and p_max.
-_LOOKUP_ROWS = 17
+# context's constants y_mean, u_mean, fit-point count and usable flag.
+_LOOKUP_ROWS = 16
 
 
 class ClassResiduals:
@@ -113,8 +115,14 @@ class FitContext(ClassResiduals):
     the loss thousands of times. Immutable after construction and safe
     to share.
 
+    A context scores only search points with 0 < p <= ``P_MAX``, every
+    other point the sentinel, so it keeps just what those read: the CCDF
+    knots of fraction at most ``P_MAX`` plus the next one, the incomes
+    from that knot's income up, and the class statistic. It holds no
+    sample or CCDF.
+
     ``loss_at`` evaluates one point exactly from the residual array and
-    backs every reported number; ``stacked_objective`` scores whole
+    backs the reported loss breakdown; ``stacked_objective`` scores whole
     populations on one or more contexts from their running sums, in time
     independent of k, and drives the optimizer.
     """
@@ -122,13 +130,13 @@ class FitContext(ClassResiduals):
     def __init__(self, sample: IncomeSample, k: int = DEFAULT_CLASS_POINTS):
         if k < 2:
             raise ValueError(f"need at least 2 class points, got {k}")
-        self.sample = sample
         self.k = min(int(k), sample.n)
-        self.ccdf = build_ccdf(sample, self.k)
-        super().__init__(self.ccdf)
+        ccdf = build_ccdf(sample, self.k)
+        super().__init__(ccdf)
         # a single CCDF knot leaves no crossover to interpolate
-        self.single_knot = self.ccdf.incomes.size < 2
+        self.single_knot = ccdf.incomes.size < 2
         self.mean = sample.mean
+        self.min_fraction = ccdf.min_fraction
 
         # Running sums for stacked_objective: column s sums the body points
         # [0, s) in rows 0-2 and the tail points [s, end) in rows 3-8.
@@ -146,36 +154,19 @@ class FitContext(ClassResiduals):
         self._sums[:3, 1:] = np.cumsum([y * y, x * y, x * x], axis=1)
         self._sums[3:, :-1] = np.cumsum(tail_terms[:, ::-1], axis=1)[:, ::-1]
 
-        # Lookup tables: the interpolated inverse CCDF, and the ascending
-        # incomes from index _below up with their prefix sums.
-        self._fr_asc, self._inc_by_fr = self.ccdf._fr_asc, self.ccdf._inc_by_fr
-        self._ascending, self._prefix, self._below = sample.ascending, sample._prefix, 0
-        # lookup rows 12-16, the last one p_max
+        # Lookup tables, cut to what a point with p <= P_MAX reads: the
+        # interpolated inverse CCDF, and the ascending incomes from index
+        # _below up with their prefix sums.
+        keep = min(int(np.searchsorted(ccdf._fr_asc, P_MAX, side="right")) + 1,
+                   ccdf._fr_asc.size)
+        self._fr_asc = ccdf._fr_asc[:keep].copy()
+        self._inc_by_fr = ccdf._inc_by_fr[:keep].copy()
+        self._below = int(np.searchsorted(sample.ascending, self._inc_by_fr[-1], side="left"))
+        self._ascending = sample.ascending[self._below:].copy()
+        self._prefix = sample._prefix[self._below:].copy()
+        # lookup rows 12-15
         self._constants = np.array([self._y_mean, self._u_mean, float(self.fit_points.size),
-                                    float(not self.single_knot), 1.0])
-
-    def trimmed(self, p_max: float) -> "FitContext":
-        """This context for search points with p <= ``p_max`` only.
-
-        Those points read only the CCDF knots of fraction at most
-        ``p_max`` plus the next one, and the incomes from the first at
-        that knot's income up. The copy holds slices of just these, so
-        the full sample and CCDF can be freed: it has no ``sample`` or
-        ``ccdf``. Every point with p <= ``p_max`` scores exactly as
-        here; every other point scores the sentinel.
-        """
-        keep = min(int(np.searchsorted(self._fr_asc, p_max, side="right")) + 1,
-                   self._fr_asc.size)
-        below = int(np.searchsorted(self._ascending, self._inc_by_fr[keep - 1], side="left"))
-        trimmed = copy.copy(self)
-        trimmed.sample = trimmed.ccdf = None
-        trimmed._fr_asc = self._fr_asc[:keep].copy()
-        trimmed._inc_by_fr = self._inc_by_fr[:keep].copy()
-        trimmed._ascending = self._ascending[below:].copy()
-        trimmed._prefix = self._prefix[below:].copy()
-        trimmed._below = self._below + below
-        trimmed._constants = np.append(self._constants[:-1], min(self._constants[-1], p_max))
-        return trimmed
+                                    float(not self.single_knot)])
 
     def _lookup(self, p: np.ndarray) -> np.ndarray:
         """The ``_LOOKUP_ROWS`` table lookups of fractions ``p``, one column per point."""
@@ -206,19 +197,19 @@ class FitContext(ClassResiduals):
 def _penalties(lookup, p, alpha, temperature):
     """Exponent z = m_c/T, both penalties and validity per search point.
 
-    A point is valid when 0 < p <= p_max, T > 0, alpha > 1, m_c > 0, z
+    A point is valid when 0 < p <= P_MAX, T > 0, alpha > 1, m_c > 0, z
     does not overflow, some income lies below the crossover and the
     CCDF has more than one knot; NaN makes it invalid. Invalid points
     compute garbage under errstate, which callers mask.
     """
     m_c, count, total = lookup[0], lookup[1], lookup[2]
-    usable, p_max = lookup[15], lookup[16]
+    usable = lookup[15]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z = m_c / temperature
         theo_mean = temperature - m_c / np.expm1(z)
         mean_pen = np.abs(theo_mean / (total / count) - 1.0)
         frac_pen = np.abs(np.exp(-z) / p - 1.0)
-    ok = ((p > 0.0) & (p <= p_max) & (temperature > 0.0) & (alpha > 1.0)
+    ok = ((p > 0.0) & (p <= P_MAX) & (temperature > 0.0) & (alpha > 1.0)
           & (m_c > 0.0) & (z <= _EXP_OVERFLOW) & (count > 0) & (usable > 0.0))
     return z, mean_pen, frac_pen, ok
 

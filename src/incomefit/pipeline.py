@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._pool import map_in_order
-from .ccdf import IncomeSample
+from .ccdf import IncomeSample, build_ccdf
 from .bootstrap import (
     MIN_INCOMES,
     BootstrapSummary,
@@ -28,7 +28,6 @@ from .bootstrap import (
 )
 from .fitting import ALPHA_MIN, FitResult, FitSettings, fit_sample
 from .model import TwoClassParams, draw_incomes, model_ccdf
-from .objective import FitContext
 from .series import (
     IndicatorSeries,
     YearRecord,
@@ -254,7 +253,7 @@ def write_fit_report(path: Path, fit: FitResult, spec: DatasetSpec,
         ]),
         ("optimizer", [
             ("initial_best", fit.trace[0] if fit.trace else float("nan")),
-            ("final_best", fit.loss.total),
+            ("final_best", fit.trace[-1] if fit.trace else float("nan")),
             ("iterations", len(fit.trace) - 2 if len(fit.trace) >= 2 else 0),
         ]),
         ("config", _settings_items(fit.settings, fit.seed)),
@@ -262,17 +261,18 @@ def write_fit_report(path: Path, fit: FitResult, spec: DatasetSpec,
     _write_sections(path, sections)
 
 
-def write_plot_data(out_dir: Path, fit: FitResult, context: FitContext):
+def write_plot_data(out_dir: Path, fit: FitResult, sample: IncomeSample):
     """Plot-ready files: empirical points, fitted curve, axis markers."""
-    points = context.ccdf.class_points
-    fractions = context.ccdf.evaluate(points)
+    ccdf = build_ccdf(sample, fit.settings.k)
+    points = ccdf.class_points
+    fractions = ccdf.evaluate(points)
     _write_csv(out_dir / "ccdf_points.csv", ["income", "fraction"],
                zip(points.tolist(), fractions.tolist()))
 
     params = fit.params
     m_c = fit.crossover
-    lo = float(context.sample.ascending[0])
-    hi = float(context.sample.values[0])
+    lo = float(sample.ascending[0])
+    hi = float(sample.values[0])
     body = np.geomspace(max(lo, 1e-9), m_c, CURVE_POINTS_PER_BRANCH, endpoint=False)
     tail = np.geomspace(m_c, max(hi, m_c * (1 + 1e-9)), CURVE_POINTS_PER_BRANCH)
     curve = np.concatenate([body, tail])
@@ -296,10 +296,9 @@ def cmd_fit(spec: DatasetSpec, out_dir: str | Path,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ingested = ingest(spec)
-    context = FitContext(ingested.sample, settings.k)
-    fit = fit_sample(ingested.sample, settings, seed=seed, context=context)
+    fit = fit_sample(ingested.sample, settings, seed=seed)
     write_fit_report(out / "report.txt", fit, spec, ingested)
-    write_plot_data(out, fit, context)
+    write_plot_data(out, fit, ingested.sample)
     return fit
 
 

@@ -152,10 +152,11 @@ class TestLoss:
         ctx = FitContext(two_class_sample, k=2000)
         x = SearchPoint(0.09, 1.9, 1750.0)
         b = ctx.loss_at(x.p, x.alpha, x.temperature)
-        params, m_c = resolve_params(x, ctx.ccdf)
+        ccdf = build_ccdf(two_class_sample, 2000)
+        params, m_c = resolve_params(x, ccdf)
         assert b.crossover == pytest.approx(m_c, rel=1e-12)
         assert b.params.lam == pytest.approx(params.lam, rel=1e-12)
-        emp = ctx.ccdf.evaluate(ctx.fit_points)
+        emp = ccdf.evaluate(ctx.fit_points)
         mod = model_ccdf(params, ctx.fit_points)
         assert b.rmsle == pytest.approx(rmsle(emp, mod), rel=1e-9)
         assert b.mean_penalty == pytest.approx(
@@ -209,7 +210,7 @@ class TestLoss:
         # the fraction moves the crossover by at most epsilon times the
         # steepest segment slope
         rng = np.random.default_rng(6)
-        ccdf = ctx.ccdf
+        ccdf = build_ccdf(two_class_sample, 2000)
         slopes = np.abs(np.diff(ccdf.incomes) / np.diff(ccdf.fractions))
         eps = 1e-9
         for p in rng.uniform(0.006, 0.199, 50):
@@ -254,13 +255,15 @@ class TestObjectiveBatch:
         return np.array([ctx.loss_at(*x).total for x in points])
 
     @staticmethod
-    def oracle(ctx, x):
+    def oracle(sample, k, x):
         """Total from the reference functions alone."""
         point = SearchPoint(*x)
-        params, m_c = resolve_params(point, ctx.ccdf)
-        emp = ctx.ccdf.evaluate(ctx.fit_points)
-        mod = model_ccdf(params, ctx.fit_points)
-        return (rmsle(emp, mod) + l1_penalty(point.temperature, m_c, ctx.sample)
+        ccdf = build_ccdf(sample, k)
+        fit_points = ccdf.class_points[:-1]
+        params, m_c = resolve_params(point, ccdf)
+        emp = ccdf.evaluate(fit_points)
+        mod = model_ccdf(params, fit_points)
+        return (rmsle(emp, mod) + l1_penalty(point.temperature, m_c, sample)
                 + l2_penalty(params.lam, point.p))
 
     def test_matches_loss_at_in_default_box(self, case):
@@ -283,7 +286,7 @@ class TestObjectiveBatch:
             batch = stacked_objective([ctx], [points])
         np.testing.assert_allclose(batch, self.exact(ctx, points), rtol=self.REL, atol=0)
 
-    def test_matches_reference_oracle(self, case):
+    def test_matches_reference_oracle(self, case, two_class_sample):
         ctx, bounds, optimum = case
         rng = np.random.default_rng(303)
         points = np.concatenate([
@@ -293,7 +296,7 @@ class TestObjectiveBatch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             batch = stacked_objective([ctx], [points])
-        oracle = np.array([self.oracle(ctx, x) for x in points])
+        oracle = np.array([self.oracle(two_class_sample, ctx.k, x) for x in points])
         np.testing.assert_allclose(batch, oracle, rtol=self.REL, atol=0)
 
     def test_sentinel_rows(self, two_class_sample):
@@ -303,8 +306,9 @@ class TestObjectiveBatch:
             good,
             [0.0, 1.8, 1800.0],      # p <= 0
             [-0.1, 1.8, 1800.0],
+            [0.2000001, 1.8, 1800.0],  # p > P_MAX
             [1.5, 1.8, 1800.0],      # p > 1
-            [1.0, 1.8, 1800.0],      # no income below the crossover
+            [1.0, 1.8, 1800.0],      # p > P_MAX, and no income below the crossover
             [0.1, 1.8, 0.0],         # T <= 0
             [0.1, 1.8, -50.0],
             [0.1, 1.0, 1800.0],      # alpha <= 1

@@ -179,6 +179,20 @@ class TestCmdFit:
                      "markers.csv", "trace.tsv"):
             assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
+    def test_final_best_is_the_last_traced_loss(self, synth_csv, tmp_path):
+        out = tmp_path / "final"
+        cmd_fit(DatasetSpec(str(synth_csv), "income"), out, QUICK, seed=5)
+        report = (out / "report.txt").read_text().splitlines()
+        final_best, = [line.split(" = ", 1)[1] for line in report
+                       if line.startswith("final_best = ")]
+        last_row = (out / "trace.tsv").read_text().splitlines()[-1]
+        assert final_best == last_row.split("\t")[1]
+
+    def test_fitted_params_are_python_floats(self, synth_csv, tmp_path):
+        fit = cmd_fit(DatasetSpec(str(synth_csv), "income"), tmp_path / "floats", QUICK, seed=5)
+        for value in (fit.params.lam, fit.params.temperature, fit.params.alpha):
+            assert type(value) is float
+
 
     def test_numeric_fields_parse_as_float(self, synth_csv, tmp_path):
         out = tmp_path / "plain"
