@@ -6,7 +6,9 @@ and a forked worker inherits it, so only the items and the results are
 pickled. There is one worker per CPU in the affinity mask, at most one
 per item. The task runs in-process with one worker, where ``fork`` is
 unavailable, and in a process running other threads, whose locks a fork
-would copy held. A result never depends on the worker count.
+would copy held. A result never depends on the worker count. The
+earliest item's error is the one raised, and once it is raised, no
+further item starts.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import threading
 
 _task = None
 _shared = None
+_stop = None
 
 
 def cpu_count() -> int:
@@ -25,12 +28,14 @@ def cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _install(task, shared):
-    global _task, _shared
-    _task, _shared = task, shared
+def _install(task, shared, stop):
+    global _task, _shared, _stop
+    _task, _shared, _stop = task, shared, stop
 
 
 def _run(item):
+    if _stop.is_set():      # an earlier item's error is being raised: no one reads this
+        return None
     return _task(_shared, item)
 
 
@@ -43,8 +48,16 @@ def map_in_order(task, items: list, shared) -> list:
         from concurrent.futures.process import ProcessPoolExecutor
 
         if "fork" in multiprocessing.get_all_start_methods():
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                     initializer=_install,
-                                     initargs=(task, shared)) as pool:
-                return list(pool.map(_run, items))
+            context = multiprocessing.get_context("fork")
+            stop = context.Event()
+            with ProcessPoolExecutor(workers, context, initializer=_install,
+                                     initargs=(task, shared, stop)) as pool:
+                futures = [pool.submit(_run, item) for item in items]
+                try:
+                    return [future.result() for future in futures]
+                except BaseException:
+                    # the executor queues items ahead of its workers, past cancelling
+                    stop.set()
+                    pool.shutdown(cancel_futures=True)
+                    raise
     return [task(shared, item) for item in items]

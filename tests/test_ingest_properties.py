@@ -21,6 +21,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from incomefit import IncomeSample  # noqa: E402
+from incomefit import pipeline  # noqa: E402
 from incomefit.pipeline import DatasetSpec, IngestResult, ingest  # noqa: E402
 
 
@@ -166,3 +167,100 @@ def test_ingest_matches_dict_reader(csv_path, text, field_limit):
         assert [outcome(ingest, spec) for spec in specs] == expected
     finally:
         csv.field_size_limit(limit)
+
+
+SEPARATORS = (",", "\n", '"')
+CLEAN_INCOMES = [v for v in INCOMES if not any(c in v for c in SEPARATORS)]
+clean_text = st.text(st.characters(blacklist_categories=("Cs",),
+                                   blacklist_characters=',\n\r"\0'), max_size=6)
+clean_by_column = {
+    "id": clean_text,
+    "income": st.one_of(st.sampled_from(CLEAN_INCOMES), st.floats().map(repr)),
+    "sex": st.one_of(st.sampled_from([v for v in LABELS if not any(c in v for c in SEPARATORS)]),
+                     clean_text),
+}
+clean_by_column["color"] = clean_by_column["sex"]
+
+
+@st.composite
+def clean_csv_files(draw):
+    """Rows of exactly the header's fields, unquoted, each ending in a newline but
+    perhaps the last: files the numpy reader splits when every income parses.
+
+    The header holds the income column and any of the other three, so a
+    one-column file, where a blank line is a row of one empty field, is drawn too.
+    """
+    header = draw(st.permutations(COLUMNS))
+    header = [col for col in header[:draw(st.integers(1, 4))] if col != "income"]
+    header.insert(draw(st.integers(0, len(header))), "income")
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        lines.append(",".join(draw(clean_by_column[col]) for col in header))
+    text = "\n".join(lines)
+    return text if draw(st.booleans()) else text + "\n"
+
+
+@settings(deadline=None, max_examples=500)
+@given(text=clean_csv_files(), field_limit=st.sampled_from([None, 8]))
+# each makes the numpy reader hand the file to the row loop
+@example(text='income,sex\n"5",woman\n7,woman\n', field_limit=None)      # a quote
+@example(text="income,sex\r\n5,woman\r\n7,woman\r\n", field_limit=None)  # \r\n lines
+@example(text="income,sex\n5,wo\0man\n7,woman\n", field_limit=None)      # NUL
+@example(text="income\n5\n\n7\n", field_limit=None)                      # blank line
+@example(text="income,sex\n5\n7,woman\n", field_limit=None)              # short row
+@example(text="income,sex\n5,woman,x\n7,woman\n", field_limit=None)      # long row
+@example(text="income\n٣\n7\n", field_limit=None)                   # non-ASCII digit
+@example(text="income\n123456789\n7\n", field_limit=8)                   # field over the limit
+@example(text="income\nabc\n5\n7\n", field_limit=None)                   # unparseable income
+@example(text="income\n\t\n5\n7\n", field_limit=None)                    # a blank that is not spaces
+# a clean file of fewer than 2 usable incomes: both readers raise the same error
+@example(text="income\n5\n-1\n \n", field_limit=None)
+def test_clean_ingest_matches_dict_reader(csv_path, text, field_limit):
+    csv_path.write_text(text, encoding="utf-8", newline="")
+    specs = [DatasetSpec(str(csv_path), "income", filters, stratify)
+             for filters in ({}, {"sex": "woman"}, {"sex": "woman", "color": "man"})
+             for stratify in (None, "color")]
+    limit = csv.field_size_limit()
+    if field_limit is not None:
+        csv.field_size_limit(field_limit)
+    try:
+        expected = [outcome(dict_reader_ingest, spec) for spec in specs]
+        assert [outcome(ingest, spec) for spec in specs] == expected
+    finally:
+        csv.field_size_limit(limit)
+
+
+CLEAN = ("id,sex,color,income\n1,woman,white,120.5\n2,man,white,80\n3,woman,brown,7e2\n"
+         "4,woman,white, \n5,woman,brown,-3\n6,woman,white,inf\n7,woman,black,55\n"
+         "8,woman,white,1_000\n9,woman,brown,  41 \n")
+
+
+def test_clean_file_never_reaches_the_csv_module(tmp_path, monkeypatch):
+    path = tmp_path / "clean.csv"
+    path.write_text(CLEAN, encoding="utf-8")
+    spec = DatasetSpec(str(path), "income", {"sex": "woman"}, "color")
+    expected = outcome(dict_reader_ingest, spec)
+    assert expected[0] == "result" and expected[6] == [("black", 1)]
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("csv.reader called on a clean file")
+
+    monkeypatch.setattr(pipeline.csv, "reader", no_reader)
+    assert outcome(ingest, spec) == expected
+
+
+def test_quoted_file_is_read_by_the_csv_module(tmp_path, monkeypatch):
+    path = tmp_path / "quoted.csv"
+    path.write_text(CLEAN.replace("120.5", '"120.5"'), encoding="utf-8")
+    spec = DatasetSpec(str(path), "income", {"sex": "woman"}, "color")
+    expected = outcome(dict_reader_ingest, spec)
+    readers = []
+
+    def counted(*args, **kwargs):
+        readers.append(args)
+        return csv_reader(*args, **kwargs)
+
+    csv_reader = csv.reader
+    monkeypatch.setattr(pipeline.csv, "reader", counted)
+    assert outcome(ingest, spec) == expected
+    assert len(readers) == 1

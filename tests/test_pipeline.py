@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -113,6 +114,19 @@ class TestIngest:
         write_csv(path, ["income", "0", "-5", ""])
         with pytest.raises(ValueError):
             ingest(DatasetSpec(str(path), "income"))
+
+    def test_peak_memory_a_few_times_the_file(self, tmp_path):
+        """Splitting 2e5 rows in blocks keeps the traced peak under 5 times the file."""
+        path = tmp_path / "big.csv"
+        values = np.random.default_rng(3).exponential(1000.0, 200_000).tolist()
+        write_csv(path, ["income", *map(repr, values)])
+        tracemalloc.start()
+        try:
+            ingest(DatasetSpec(str(path), "income"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * path.stat().st_size
 
 
 class TestCmdSynth:

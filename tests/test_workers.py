@@ -7,6 +7,7 @@ workers) and at the count the affinity mask gives, which is one under
 
 import multiprocessing
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -210,3 +211,18 @@ def test_validation_records_equal_at_any_group_size(sample, kept, at_workers, mo
             outcomes.append((summary.replicas, summary.stats, caplog.messages))
     assert all(other == outcomes[0] for other in outcomes[1:])
     assert len(outcomes[0][0]) == kept
+
+
+def _fail_first(marker_dir, item):
+    if item == 0:
+        raise ValueError("item 0 failed")
+    time.sleep(0.2)
+    (marker_dir / str(item)).touch()
+    return item
+
+
+def test_first_error_stops_the_remaining_items(tmp_path, at_workers):
+    with pytest.raises(ValueError, match="^item 0 failed$"):
+        at_workers(2, _pool.map_in_order, _fail_first, list(range(8)), tmp_path)
+    # items 1 and 2 were running when item 0 failed; the executor had queued more
+    assert len(list(tmp_path.iterdir())) < 3
