@@ -37,7 +37,7 @@ from .objective import (
     resolve_params,
     rmsle,
 )
-from .swarm import SwarmConfig, drive, initialize, refine, search, step
+from .swarm import drive, initialize, refine, search, step
 from .fitting import FitSettings, fit_sample
 from .bootstrap import bootstrap_pair, fixed_proportion_fit, run_validation
 from .series import affine_regression, build_series, pearson

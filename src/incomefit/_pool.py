@@ -1,8 +1,9 @@
 """Independent units of work on forked worker processes, results in order.
 
-A task is a module-level function ``task(shared, item)``. ``shared`` holds
-the large read-only inputs; the pool initializer hands it to each worker,
-and a forked worker inherits it, so only the items and the results are
+A task is a module-level function ``task(shared, item)``, or
+``task(shared, group)`` for ``map_groups``. ``shared`` holds the large
+read-only inputs; the pool initializer hands it to each worker, and a
+forked worker inherits it, so only the items and the results are
 pickled. There is one worker per CPU in the affinity mask, at most one
 per item. The task runs in-process with one worker, where ``fork`` is
 unavailable, and in a process running other threads, whose locks a fork
@@ -15,6 +16,10 @@ from __future__ import annotations
 
 import os
 import threading
+
+# Items a group holds at most. A live fit holds about 1.3 MB at 2e5 incomes;
+# groups of 10 fit 10% faster than groups of 5, whole bootstrap runs as fast.
+GROUP_MAX = 10
 
 _task = None
 _shared = None
@@ -61,3 +66,15 @@ def map_in_order(task, items: list, shared) -> list:
                     pool.shutdown(cancel_futures=True)
                     raise
     return [task(shared, item) for item in items]
+
+
+def map_groups(task, items: list, shared) -> list:
+    """``map_in_order`` over consecutive groups of ``items``, one result per item.
+
+    ``task(shared, group)`` fits a group together and returns one result
+    per item. A group holds the items per CPU, rounded up, at most
+    ``GROUP_MAX``; a failed item's group-mates finish before its error.
+    """
+    size = min(GROUP_MAX, max(1, -(-len(items) // cpu_count())))
+    groups = [items[start:start + size] for start in range(0, len(items), size)]
+    return [result for group in map_in_order(task, groups, shared) for result in group]

@@ -25,10 +25,6 @@ from .objective import ClassResiduals, FitContext
 log = logging.getLogger(__name__)
 
 MIN_INCOMES = 3                         # the fewest that can leave 2 out of bag
-# Replicas a worker fits together, with one stacked loss call per round. A
-# live replica holds about 1.3 MB at 2e5 incomes. Groups of 10 fit 10% faster
-# than groups of 5; whole bootstrap runs took the same time with either.
-GROUP_MAX = 10
 
 
 @dataclass(frozen=True)
@@ -174,11 +170,9 @@ def run_validation(sample: IncomeSample, n_replicas: int,
         raise ValueError(f"need at least {MIN_INCOMES} incomes to leave 2 out of bag, "
                          f"got {sample.n}")
     items = list(enumerate(np.random.SeedSequence(seed).spawn(n_replicas)))
-    size = min(GROUP_MAX, -(-n_replicas // _pool.cpu_count()))
-    groups = [items[start:start + size] for start in range(0, n_replicas, size)]
     replicas: list[ReplicaRecord] = []
-    outcomes = _pool.map_in_order(_replica_group, groups, (sample, settings))
-    for r, outcome in enumerate(outcome for group in outcomes for outcome in group):
+    outcomes = _pool.map_groups(_replica_group, items, (sample, settings))
+    for r, outcome in enumerate(outcomes):
         if isinstance(outcome, str):
             log.warning("replica %d dropped: %s", r, outcome)
         else:

@@ -12,6 +12,8 @@ Gini coefficient).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 DEFAULT_CLASS_POINTS = 10000
@@ -61,7 +63,12 @@ class IncomeSample:
         # prefix[i] = sum of the i smallest incomes
         self._prefix = np.empty(self.n + 1)
         self._prefix[0] = 0.0
-        np.cumsum(asc, out=self._prefix[1:])
+        with np.errstate(over="ignore"):
+            np.cumsum(asc, out=self._prefix[1:])
+        # the empirical Gini divides by N times the total
+        if not math.isfinite(float(self._prefix[-1]) * self.n):
+            raise ValueError("incomes too large: their total times their count "
+                             "overflows a float")
         self.mean = float(self._prefix[-1] / self.n)
 
     def __reduce__(self):

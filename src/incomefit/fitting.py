@@ -10,7 +10,7 @@ import numpy as np
 from .ccdf import DEFAULT_CLASS_POINTS, IncomeSample, empirical_gini
 from .model import TwoClassParams, theoretical_gini
 from .objective import P_MAX, FitContext, LossBreakdown, SearchPoint, stacked_objective
-from .swarm import OptimizeResult, SwarmConfig, drive, search
+from .swarm import OptimizeResult, drive, search
 
 
 # The search box of every fit: p up to objective.P_MAX, a finite mean
@@ -40,20 +40,15 @@ class FitSettings:
             raise ValueError(f"alpha_max must be finite and above {ALPHA_MIN}, "
                              f"got {self.alpha_max}")
 
-    def swarm_config(self, mean_income: float,
-                     seed: int | np.random.SeedSequence) -> SwarmConfig:
-        """Swarm over the shared search box.
+    def search_box(self, mean_income: float) -> np.ndarray:
+        """The (3, 2) box of (p, alpha, T) that every fit searches.
 
         p in (0, P_MAX], its open lower edge a small positive bound;
         alpha in [ALPHA_MIN, alpha_max]; T in T_SCALES times the sample
         mean.
         """
-        bounds = [[1e-6, P_MAX], [ALPHA_MIN, self.alpha_max],
-                  [T_SCALES[0] * mean_income, T_SCALES[1] * mean_income]]
-        return SwarmConfig(bounds=bounds, n_candidates=self.n_candidates,
-                           max_iters=self.max_iters, seed=seed,
-                           refine_every=self.refine_every,
-                           refine_max_steps=self.refine_max_steps)
+        return np.array([[1e-6, P_MAX], [ALPHA_MIN, self.alpha_max],
+                         [T_SCALES[0] * mean_income, T_SCALES[1] * mean_income]])
 
 
 @dataclass(eq=False)
@@ -104,7 +99,7 @@ def fit_group(contexts: list[FitContext], settings: FitSettings,
     loss call, so a group of fits shares the fixed cost of a call; each
     result equals that of the context's search alone.
     """
-    searches = [search(settings.swarm_config(context.mean, seed))
+    searches = [search(settings.search_box(context.mean), settings, seed)
                 for context, seed in zip(contexts, seeds)]
     return drive(searches, lambda live, blocks: stacked_objective(
         [contexts[i] for i in live], blocks))

@@ -151,7 +151,11 @@ class FitContext(ClassResiduals):
         v = self.fit_log_income - self._u_mean
         tail_terms = np.array([np.ones_like(x), w, v, w * v, v * v, w * w])
         self._sums = np.zeros((9, x.size + 1))
-        self._sums[:3, 1:] = np.cumsum([y * y, x * y, x * x], axis=1)
+        with np.errstate(over="ignore"):
+            self._sums[:3, 1:] = np.cumsum([y * y, x * y, x * x], axis=1)
+        if not np.isfinite(self._sums[2, -1]):
+            raise ValueError("incomes too large: the squares of the class points overflow "
+                             "a float")
         self._sums[3:, :-1] = np.cumsum(tail_terms[:, ::-1], axis=1)[:, ::-1]
 
         # Lookup tables, cut to what a point with p <= P_MAX reads: the

@@ -520,8 +520,9 @@ def cmd_series(specs_by_year: dict[int, DatasetSpec], deflator_path: str | Path,
     """Per-year fits, deflation, correlations and regression outputs.
 
     The deflators are checked first. Every year is then read on worker
-    processes, and the samples are fitted by ``build_series``. A read
-    error so comes before any fit, and the earliest year's error first.
+    processes, and ``build_series`` fits the samples in groups of
+    consecutive years. A read error so comes before any fit, and the
+    earliest year's error first.
     """
     if len(specs_by_year) < 3:
         raise ValueError(f"need at least 3 years for correlations, got {len(specs_by_year)}")
@@ -557,10 +558,15 @@ def cmd_series(specs_by_year: dict[int, DatasetSpec], deflator_path: str | Path,
 
 
 def cmd_synth(params: TwoClassParams, n: int, seed: int, out_path: str | Path) -> Path:
-    """Write n model draws as a single-column income CSV."""
+    """Write n model draws as a single-column income CSV.
+
+    Its lines end in a bare newline, so ``ingest`` reads it with the numpy
+    split.
+    """
     values = draw_incomes(params, n, seed)
     out = Path(out_path)
     if out.parent and not out.parent.exists():
         raise ValueError(f"output directory does not exist: {out.parent}")
-    _write_csv(out, ["income"], zip(values.tolist()))
+    out.write_text("".join(f"{_fmt(v)}\n" for v in ["income", *values.tolist()]),
+                   encoding="utf-8")
     return out

@@ -15,9 +15,11 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._pool import map_in_order
-from .ccdf import IncomeSample
-from .fitting import FitSettings, fit_sample
+from ._pool import map_groups
+from .ccdf import IncomeSample, empirical_gini
+from .fitting import FitSettings, fit_group, solution
+from .model import theoretical_gini
+from .objective import FitContext
 
 
 @dataclass(frozen=True)
@@ -78,30 +80,35 @@ def check_deflators(deflators: Mapping[int, float], years: Iterable[int],
         raise ValueError(f"deflator index must be positive and finite for year(s): {bad}")
 
 
-def _fit_and_deflate(shared: tuple[Mapping[int, IncomeSample], Mapping[int, float], int,
-                                    FitSettings],
-                     item: tuple[int, np.random.SeedSequence]) -> YearRecord:
-    """Fit one year's sample and deflate its currency indicators.
+def _year_group(shared: tuple[Mapping[int, IncomeSample], Mapping[int, float], int,
+                              FitSettings],
+                group: list[tuple[int, np.random.SeedSequence]]) -> list[YearRecord]:
+    """Fit a group of years together, each on its own stream, and deflate them.
 
     Deflated value = nominal value * (reference-year index / year index).
     Both the temperature and the crossover carry currency units, so both
     are deflated.
     """
     samples_by_year, deflators, reference_year, settings = shared
-    year, stream = item
-    fit = fit_sample(samples_by_year[year], settings, seed=stream)
-    factor = float(deflators[reference_year]) / float(deflators[year])
-    return YearRecord(
-        year=year,
-        top_fraction=fit.params.lam,
-        temperature=fit.params.temperature,
-        temperature_deflated=fit.params.temperature * factor,
-        pareto_index=fit.params.alpha,
-        crossover=fit.crossover,
-        crossover_deflated=fit.crossover * factor,
-        gini_theoretical=fit.gini_theoretical,
-        gini_empirical=fit.gini_empirical,
-    )
+    contexts = [FitContext(samples_by_year[year], settings.k) for year, _ in group]
+    results = fit_group(contexts, settings, [stream for _, stream in group])
+    records = []
+    for (year, _), context, result in zip(group, contexts, results):
+        breakdown = solution(context, result)
+        params = breakdown.params
+        factor = float(deflators[reference_year]) / float(deflators[year])
+        records.append(YearRecord(
+            year=year,
+            top_fraction=params.lam,
+            temperature=params.temperature,
+            temperature_deflated=params.temperature * factor,
+            pareto_index=params.alpha,
+            crossover=breakdown.crossover,
+            crossover_deflated=breakdown.crossover * factor,
+            gini_theoretical=theoretical_gini(params.lam, params.alpha),
+            gini_empirical=empirical_gini(samples_by_year[year]),
+        ))
+    return records
 
 
 def build_series(samples_by_year: Mapping[int, IncomeSample],
@@ -110,15 +117,16 @@ def build_series(samples_by_year: Mapping[int, IncomeSample],
                  seed: int = 0) -> IndicatorSeries:
     """Fit every year and deflate to reference-year currency.
 
-    Years are fitted on worker processes and kept in ascending order;
-    year i is fitted with child i of ``SeedSequence(seed).spawn(len(years))``.
+    Years are fitted on worker processes in groups of consecutive years,
+    as bootstrap fits replicas, and kept in ascending order; year i is
+    fitted with child i of ``SeedSequence(seed).spawn(len(years))``.
     A failed fit raises its error, the earliest year's first.
     """
     years = sorted(samples_by_year)
     check_deflators(deflators, years, reference_year)
     streams = np.random.SeedSequence(seed).spawn(len(years))
-    records = map_in_order(_fit_and_deflate, list(zip(years, streams)),
-                           (samples_by_year, deflators, reference_year, settings))
+    records = map_groups(_year_group, list(zip(years, streams)),
+                         (samples_by_year, deflators, reference_year, settings))
     return IndicatorSeries(records, reference_year)
 
 

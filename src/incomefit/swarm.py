@@ -21,9 +21,10 @@ and is sent their values, ``values = yield rows``; it returns its
 result. ``drive`` runs many searches at once and scores the rows all of
 them wait on with one call per round, so searches on different
 objectives share the fixed cost of a call, and each search sees the
-same values as it would alone. ``search`` is the full hybrid schedule;
-``initialize``, ``step`` and ``refine`` are its stages, and a single
-stage or search on one objective runs as
+same values as it would alone. ``search`` is the full hybrid schedule,
+whose knobs are the fields of ``fitting.FitSettings``; ``initialize``,
+``step`` and ``refine`` are its stages, each given only what it reads,
+and a single stage or search on one objective runs as
 ``drive([stage], lambda live, blocks: objective(blocks[0]))[0]``.
 """
 
@@ -45,32 +46,6 @@ C_ARMIJO = 1e-4                         # sufficient-decrease fraction of the sl
 MAX_TRIALS = 20                         # backtracking trials per step
 RELATIVE_DECREASE = 2.2e-9              # stop below this decrease over max(|f|, 1)
 PROJECTED_GRADIENT = 1e-5               # stop below this box-scaled projected gradient
-
-
-@dataclass(eq=False)
-class SwarmConfig:
-    bounds: np.ndarray                  # (d, 2) [lo, hi] per dimension
-    n_candidates: int
-    max_iters: int
-    seed: int | np.random.SeedSequence
-    refine_every: int                   # 0 disables periodic refinement
-    refine_max_steps: int
-
-    def __post_init__(self):
-        self.bounds = np.asarray(self.bounds, dtype=float)
-        if self.bounds.ndim != 2 or self.bounds.shape[1] != 2:
-            raise ValueError("bounds must be a (d, 2) array")
-        if not np.all(np.isfinite(self.bounds)):
-            raise ValueError("bounds must be finite")
-        if np.any(self.bounds[:, 0] >= self.bounds[:, 1]):
-            raise ValueError("each bound must satisfy lo < hi")
-        if self.n_candidates < 2:
-            raise ValueError("need at least 2 candidates")
-        if self.max_iters < 1:
-            raise ValueError("need at least 1 iteration")
-        for name in ("refine_every", "refine_max_steps"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
 
 
 @dataclass(eq=False)
@@ -156,11 +131,12 @@ def drive(searches: list, evaluate) -> list:
     return results
 
 
-def initialize(config: SwarmConfig) -> Generator[np.ndarray, np.ndarray, SwarmState]:
-    """Seeded uniform start inside the box, with half-difference velocities."""
-    rng = np.random.default_rng(config.seed)
-    lo, hi = config.bounds[:, 0], config.bounds[:, 1]
-    n, d = config.n_candidates, config.bounds.shape[0]
+def initialize(bounds: np.ndarray, n: int, seed: int | np.random.SeedSequence
+               ) -> Generator[np.ndarray, np.ndarray, SwarmState]:
+    """Seeded uniform start of n candidates in the (d, 2) box, with half-difference velocities."""
+    rng = np.random.default_rng(seed)
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    d = bounds.shape[0]
     positions = lo + (hi - lo) * rng.random((n, d))
     second = lo + (hi - lo) * rng.random((n, d))
     velocities = (second - positions) / 2.0
@@ -180,13 +156,13 @@ def initialize(config: SwarmConfig) -> Generator[np.ndarray, np.ndarray, SwarmSt
     )
 
 
-def step(state: SwarmState,
-         config: SwarmConfig) -> Generator[np.ndarray, np.ndarray, SwarmState]:
+def step(state: SwarmState, bounds: np.ndarray,
+         max_iters: int) -> Generator[np.ndarray, np.ndarray, SwarmState]:
     """One swarm iteration; updates the state in place and returns it."""
-    lo, hi = config.bounds[:, 0], config.bounds[:, 1]
+    lo, hi = bounds[:, 0], bounds[:, 1]
     n, d = state.positions.shape
-    if config.max_iters > 1:
-        frac = min(state.t, config.max_iters - 1) / (config.max_iters - 1)
+    if max_iters > 1:
+        frac = min(state.t, max_iters - 1) / (max_iters - 1)
     else:
         frac = 0.0
     w = W_START + (W_END - W_START) * frac
@@ -338,27 +314,27 @@ def refine(point, bounds,
     return best_x, best_f
 
 
-def search(config: SwarmConfig) -> Generator[np.ndarray, np.ndarray, OptimizeResult]:
-    """Run the full hybrid schedule and return the best point ever seen."""
-    state = yield from initialize(config)
+def search(bounds: np.ndarray, settings, seed: int | np.random.SeedSequence
+           ) -> Generator[np.ndarray, np.ndarray, OptimizeResult]:
+    """Run the hybrid schedule of a ``FitSettings`` over a (d, 2) box to its best point."""
+    state = yield from initialize(bounds, settings.n_candidates, seed)
     best_x, best_value = state.best_x.copy(), state.best_value
     trace = [best_value]
     trace_points = [best_x.copy()]
-    for t in range(1, config.max_iters + 1):
-        yield from step(state, config)
+    for t in range(1, settings.max_iters + 1):
+        yield from step(state, bounds, settings.max_iters)
         if state.best_value < best_value:
             best_value = state.best_value
             best_x = state.best_x.copy()
-        if config.refine_every and t % config.refine_every == 0:
-            rx, rv = yield from refine(best_x, config.bounds, config.refine_max_steps)
+        if settings.refine_every and t % settings.refine_every == 0:
+            rx, rv = yield from refine(best_x, bounds, settings.refine_max_steps)
             if rv < best_value:
                 best_value, best_x = rv, rx.copy()
         trace.append(best_value)
         trace_points.append(best_x.copy())
-    rx, rv = yield from refine(best_x, config.bounds, config.refine_max_steps)
+    rx, rv = yield from refine(best_x, bounds, settings.refine_max_steps)
     if rv < best_value:
         best_value, best_x = rv, rx.copy()
     trace.append(best_value)
     trace_points.append(best_x.copy())
     return OptimizeResult(best_x, best_value, trace, trace_points)
-

@@ -246,7 +246,7 @@ class TestObjectiveBatch:
                                refine_every=0, refine_max_steps=40)
         ctx = FitContext(two_class_sample, settings.k)
         fit = fit_sample(two_class_sample, settings, seed=3, context=ctx)
-        bounds = settings.swarm_config(ctx.mean, seed=0).bounds
+        bounds = settings.search_box(ctx.mean)
         optimum = np.array([fit.point.p, fit.point.alpha, fit.point.temperature])
         return ctx, bounds, optimum
 

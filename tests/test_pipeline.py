@@ -139,6 +139,16 @@ class TestCmdSynth:
         cmd_synth(TwoClassParams(0.1, 1000.0, 1.8), 500, 3, out)
         assert ingest(DatasetSpec(str(out), "income")).sample.n == 500
 
+    def test_file_takes_the_numpy_split(self, tmp_path, monkeypatch):
+        out = tmp_path / "split.csv"
+        cmd_synth(TwoClassParams(0.1, 1000.0, 1.8), 500, 3, out)
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("a synthesized file reached csv.reader")
+
+        monkeypatch.setattr(csv, "reader", no_reader)
+        assert ingest(DatasetSpec(str(out), "income")).sample.n == 500
+
     def test_exponential_limit_gini(self, tmp_path):
         out = tmp_path / "expo.csv"
         cmd_synth(TwoClassParams(1e-9, 1000.0, 2.0), 100_000, 5, out)
@@ -408,7 +418,7 @@ class TestSeriesInput:
         def no_fit(*args, **kwargs):
             raise AssertionError("a year was fitted before the input was rejected")
 
-        monkeypatch.setattr(series_module, "fit_sample", no_fit)
+        monkeypatch.setattr(series_module, "fit_group", no_fit)
         for year in (2001, 2002, 2003):
             cmd_synth(TwoClassParams(0.08, 1500.0, 1.6), 300, year, tmp_path / f"{year}.csv")
 

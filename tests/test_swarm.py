@@ -10,7 +10,6 @@ import pytest
 from incomefit import (
     FitContext,
     FitSettings,
-    SwarmConfig,
     TwoClassParams,
     drive,
     initialize,
@@ -23,20 +22,11 @@ from incomefit.objective import stacked_objective
 from incomefit.swarm import _draw_informants
 
 BOX = np.array([[0.0, 1.0], [-2.0, 2.0], [10.0, 30.0]])
-DEFAULTS = FitSettings()
 
 
 def run(stage, objective):
     """The result of one stage or search, its rows scored by ``objective``."""
     return drive([stage], lambda live, blocks: objective(blocks[0]))[0]
-
-
-def swarm_config(bounds=BOX, **fields):
-    """A swarm over ``bounds``; fields not given take the fit defaults and seed 0."""
-    schedule = {"n_candidates": DEFAULTS.n_candidates, "max_iters": DEFAULTS.max_iters,
-                "seed": 0, "refine_every": DEFAULTS.refine_every,
-                "refine_max_steps": DEFAULTS.refine_max_steps}
-    return SwarmConfig(bounds=bounds, **{**schedule, **fields})
 
 
 def context_objective(ctx):
@@ -59,15 +49,14 @@ class TestInitialize:
             d = rng.integers(1, 5)
             lo = rng.uniform(-10, 10, d)
             hi = lo + rng.uniform(0.1, 10, d)
-            config = swarm_config(np.c_[lo, hi], n_candidates=8, max_iters=5, seed=int(trial))
-            state = run(initialize(config), lambda x: np.sum(x ** 2, axis=-1))
+            state = run(initialize(np.c_[lo, hi], 8, int(trial)),
+                        lambda x: np.sum(x ** 2, axis=-1))
             assert np.all(state.positions >= lo) and np.all(state.positions <= hi)
 
     def test_seed_determinism_bitwise(self):
-        config = swarm_config(n_candidates=12, max_iters=10, seed=5)
         objective = sphere_factory([0.5, 0.0, 20.0])
-        a = run(initialize(config), objective)
-        b = run(initialize(config), objective)
+        a = run(initialize(BOX, 12, 5), objective)
+        b = run(initialize(BOX, 12, 5), objective)
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.velocities, b.velocities)
         assert np.array_equal(a.pbest_values, b.pbest_values)
@@ -75,8 +64,7 @@ class TestInitialize:
 
     def test_velocity_is_half_difference_of_uniform_draws(self):
         # reproduce the draw stream: positions then a second uniform block
-        config = swarm_config(n_candidates=6, max_iters=5, seed=3)
-        state = run(initialize(config), sphere_factory([0.5, 0.0, 20.0]))
+        state = run(initialize(BOX, 6, 3), sphere_factory([0.5, 0.0, 20.0]))
         rng = np.random.default_rng(3)
         lo, hi = BOX[:, 0], BOX[:, 1]
         x = lo + (hi - lo) * rng.random((6, 3))
@@ -85,8 +73,7 @@ class TestInitialize:
         assert np.allclose(state.velocities, (u2 - x) / 2.0)
 
     def test_personal_bests_start_at_positions(self):
-        config = swarm_config(n_candidates=9, max_iters=5, seed=11)
-        state = run(initialize(config), sphere_factory([0.2, 1.0, 15.0]))
+        state = run(initialize(BOX, 9, 11), sphere_factory([0.2, 1.0, 15.0]))
         assert np.array_equal(state.pbest_positions, state.positions)
 
     def test_informant_set_size_matches_direct_simulation(self):
@@ -120,9 +107,8 @@ class TestStep:
     def test_stationary_fixed_point(self):
         # a candidate sitting at its own personal best, which is also its
         # neighborhood best, with zero velocity does not move
-        config = swarm_config(n_candidates=4, max_iters=10, seed=2)
         objective = sphere_factory([0.5, 0.0, 20.0])
-        state = run(initialize(config), objective)
+        state = run(initialize(BOX, 4, 2), objective)
         state.velocities[:] = 0.0
         state.positions[:] = state.pbest_positions
         # make candidate 0 the best everywhere so nbest == pbest == position
@@ -132,28 +118,28 @@ class TestStep:
         np.fill_diagonal(state.informants, True)
         state.informants[0, :] = True  # candidate 0 informs everyone
         before = state.positions[0].copy()
-        run(step(state, config), objective)
+        run(step(state, BOX, 10), objective)
         assert np.array_equal(state.positions[0], before)
         assert np.array_equal(state.velocities[0], 0.0 * before)
 
     def test_sphere_convergence_without_refinement(self):
         # pure swarm dynamics, no quasi-Newton polish anywhere
         target = np.array([0.61, -0.37, 17.3])
-        config = swarm_config(n_candidates=40, max_iters=200, seed=4)
+        max_iters = 200
         objective = sphere_factory(target)
-        state = run(initialize(config), objective)
-        for _ in range(config.max_iters):
-            run(step(state, config), objective)
+        state = run(initialize(BOX, 40, 4), objective)
+        for _ in range(max_iters):
+            run(step(state, BOX, max_iters), objective)
         assert np.all(np.abs(state.best_x - target) < 1e-4)
 
     def test_boundary_optimum_clamps_with_zero_velocity(self):
         # optimum outside the box: the swarm should pile onto the face
         target = np.array([-1.0, 0.0, 20.0])  # below the lo=0 face of dim 0
-        config = swarm_config(n_candidates=30, max_iters=80, seed=8, refine_every=0)
+        max_iters = 80
         objective = sphere_factory(target)
-        state = run(initialize(config), objective)
-        for _ in range(config.max_iters):
-            run(step(state, config), objective)
+        state = run(initialize(BOX, 30, 8), objective)
+        for _ in range(max_iters):
+            run(step(state, BOX, max_iters), objective)
             assert np.all(state.positions >= BOX[:, 0])
             assert np.all(state.positions <= BOX[:, 1])
         assert state.best_x[0] == 0.0
@@ -162,7 +148,7 @@ class TestStep:
         assert np.all(state.velocities[pinned, 0] == 0.0)
 
     def test_personal_best_equals_min_over_visits(self):
-        config = swarm_config(n_candidates=10, max_iters=40, seed=13, refine_every=0)
+        n, max_iters = 10, 40
         history = []
 
         def recording(x):
@@ -170,25 +156,25 @@ class TestStep:
             history.extend(values.tolist())
             return values
 
-        state = run(initialize(config), recording)
-        visits = [[v] for v in history[-config.n_candidates:]]
-        for _ in range(config.max_iters):
+        state = run(initialize(BOX, n, 13), recording)
+        visits = [[v] for v in history[-n:]]
+        for _ in range(max_iters):
             mark = len(history)
-            run(step(state, config), recording)
-            for i, v in enumerate(history[mark:mark + config.n_candidates]):
+            run(step(state, BOX, max_iters), recording)
+            for i, v in enumerate(history[mark:mark + n]):
                 visits[i].append(v)
-        for i in range(config.n_candidates):
+        for i in range(n):
             assert state.pbest_values[i] == min(visits[i])
 
     def test_informants_redraw_iff_no_improvement(self):
-        config = swarm_config(n_candidates=8, max_iters=60, seed=17, refine_every=0)
+        max_iters = 60
         objective = sphere_factory([0.5, 0.0, 20.0])
-        state = run(initialize(config), objective)
+        state = run(initialize(BOX, 8, 17), objective)
         redraws = 0
-        for _ in range(config.max_iters):
+        for _ in range(max_iters):
             best_before = state.best_value
             count_before = state.informant_redraws
-            run(step(state, config), objective)
+            run(step(state, BOX, max_iters), objective)
             improved = state.best_value < best_before
             assert state.informant_redraws == count_before + (0 if improved else 1)
             redraws = state.informant_redraws
@@ -232,8 +218,8 @@ class TestRefine:
 
 class TestOptimize:
     def test_trace_monotone_nonincreasing(self):
-        config = swarm_config(n_candidates=15, max_iters=50, seed=29)
-        result = run(search(config), sphere_factory([0.7, 1.1, 12.0]))
+        result = run(search(BOX, FitSettings(n_candidates=15, max_iters=50), 29),
+                     sphere_factory([0.7, 1.1, 12.0]))
         assert np.all(np.diff(result.trace) <= 0)
 
     def test_same_seed_identical_different_seed_close(self):
@@ -243,8 +229,8 @@ class TestOptimize:
                            [ctx.mean / 2, 2 * ctx.mean]])
 
         def fit(seed):
-            config = swarm_config(bounds, n_candidates=25, max_iters=80, seed=seed)
-            return run(search(config), context_objective(ctx))
+            return run(search(bounds, FitSettings(n_candidates=25, max_iters=80), seed),
+                       context_objective(ctx))
 
         a, b = fit(1), fit(1)
         assert np.array_equal(a.x, b.x)
@@ -255,8 +241,8 @@ class TestOptimize:
 
     def test_final_refinement_runs_even_with_periodic_disabled(self):
         target = np.array([0.61, -0.37, 17.3])
-        config = swarm_config(n_candidates=10, max_iters=10, seed=37, refine_every=0)
-        result = run(search(config), sphere_factory(target))
+        settings = FitSettings(n_candidates=10, max_iters=10, refine_every=0)
+        result = run(search(BOX, settings, 37), sphere_factory(target))
         # ten swarm iterations alone cannot hit 1e-10; the final polish can
         assert result.value < 1e-10
 
@@ -266,7 +252,7 @@ class TestConfig:
     def test_rejects_negative_refine_settings(self, field):
         # refine_every=-3 would still refine every third iteration, as t % -3 == 0
         with pytest.raises(ValueError, match=field):
-            swarm_config(**{field: -3})
+            FitSettings(**{field: -3})
 
 
 class TestDrive:
@@ -278,12 +264,12 @@ class TestDrive:
         objectives = [context_objective(ctx) for ctx in contexts] + spheres
         box = [np.array([[1e-6, 0.2], [1.0, 3.0], [ctx.mean / 2, 2 * ctx.mean]])
                for ctx in contexts] + [BOX, BOX]
-        schedules = [dict(n_candidates=12, max_iters=25, refine_every=10, seed=1),
-                     dict(n_candidates=7, max_iters=1, refine_every=0, refine_max_steps=0,
-                          seed=2),             # done after its first four rounds
-                     dict(n_candidates=9, max_iters=30, refine_every=7, seed=3),
-                     dict(n_candidates=5, max_iters=12, refine_every=0, seed=4)]
-        configs = [swarm_config(b, **schedule) for b, schedule in zip(box, schedules)]
+        schedules = [FitSettings(n_candidates=12, max_iters=25, refine_every=10),
+                     FitSettings(n_candidates=7, max_iters=1, refine_every=0,
+                                 refine_max_steps=0),      # done after its first four rounds
+                     FitSettings(n_candidates=9, max_iters=30, refine_every=7),
+                     FitSettings(n_candidates=5, max_iters=12, refine_every=0)]
+        configs = list(zip(box, schedules, [1, 2, 3, 4]))
         rounds = []
 
         def evaluate(live, blocks):
@@ -300,10 +286,10 @@ class TestDrive:
                     values[j] = part
             return np.concatenate(values)
 
-        together = drive([search(config) for config in configs], evaluate)
+        together = drive([search(*config) for config in configs], evaluate)
         assert 1 in rounds[3] and all(1 not in live for live in rounds[4:])
         for config, objective, result in zip(configs, objectives, together):
-            alone = run(search(config), objective)
+            alone = run(search(*config), objective)
             assert result.x.tobytes() == alone.x.tobytes()
             assert result.value == alone.value
             assert np.array(result.trace).tobytes() == np.array(alone.trace).tobytes()
@@ -325,14 +311,13 @@ class TestCallShape:
         return objective
 
     def test_initialize_and_step_one_population_call(self):
-        config = swarm_config(n_candidates=7, max_iters=5, seed=3)
         shapes = []
         objective = self.recording_sphere(shapes)
-        state = run(initialize(config), objective)
+        state = run(initialize(BOX, 7, 3), objective)
         assert shapes == [(7, 3)]
-        for _ in range(config.max_iters):
+        for _ in range(5):
             shapes.clear()
-            run(step(state, config), objective)
+            run(step(state, BOX, 5), objective)
             assert shapes == [(7, 3)]
 
     def test_refine_point_and_gradient_calls(self):

@@ -130,7 +130,7 @@ def test_read_error_beats_fit_error_and_earliest_year_wins(tmp_path, at_workers,
     def no_fit(*args, **kwargs):
         raise FitError("no fit here")
 
-    monkeypatch.setattr(series_module, "fit_sample", no_fit)
+    monkeypatch.setattr(series_module, "solution", no_fit)
     args = write_years(tmp_path)
     (tmp_path / "2003.csv").write_text("income\n0\n", encoding="utf-8")
     code, captured, _ = run_series(at_workers, capsys, tmp_path, args)
@@ -158,20 +158,35 @@ def test_build_series_records_equal(year_samples, at_workers):
     assert all(other == records[0] for other in records[1:])
 
 
+def test_build_series_records_equal_at_any_group_size(year_samples, at_workers, monkeypatch):
+    """Group caps of 1, 2, 10 and Y, on 1 and 2 workers, give the same records."""
+    deflators = {year: 90.0 + 3 * i for i, year in enumerate(year_samples)}
+    records = []
+    for group_max in (1, 2, 10, len(year_samples)):
+        monkeypatch.setattr(_pool, "GROUP_MAX", group_max)
+        for n in (1, 2):
+            records.append(at_workers(n, build_series, year_samples, deflators, 2004,
+                                      TINY_SETTINGS, 4).records)
+    assert [r.year for r in records[0]] == [2001, 2002, 2003, 2004]
+    assert all(other == records[0] for other in records[1:])
+
+
 def test_build_series_earliest_failed_fit_wins(year_samples, at_workers, monkeypatch):
-    fit = series_module.fit_sample
+    solution = series_module.solution
+    failing = {year_samples[year].mean: year for year in (2002, 2004)}
 
-    def fail_some(sample, *args, **kwargs):
-        for year in (2002, 2004):
-            if sample is year_samples[year]:
-                raise FitError(f"no fit for {year}")
-        return fit(sample, *args, **kwargs)
+    def fail_some(context, result):
+        if context.mean in failing:
+            raise FitError(f"no fit for {failing[context.mean]}")
+        return solution(context, result)
 
-    monkeypatch.setattr(series_module, "fit_sample", fail_some)
+    monkeypatch.setattr(series_module, "solution", fail_some)
     deflators = dict.fromkeys(year_samples, 1.0)
-    for n in (1, 2):
-        with pytest.raises(FitError, match="^no fit for 2002$"):
-            at_workers(n, build_series, year_samples, deflators, 2001, TINY_SETTINGS)
+    for group_max in (1, 4):            # alone, and 2002 with its group-mates
+        monkeypatch.setattr(_pool, "GROUP_MAX", group_max)
+        for n in (1, 2):
+            with pytest.raises(FitError, match="^no fit for 2002$"):
+                at_workers(n, build_series, year_samples, deflators, 2001, TINY_SETTINGS)
 
 
 def test_drop_lines_in_replica_order(at_workers, monkeypatch, caplog):
@@ -204,7 +219,7 @@ def test_validation_records_equal_at_any_group_size(sample, kept, at_workers, mo
     replicas = 12
     outcomes = []
     for group_max in (1, 2, 10, replicas):
-        monkeypatch.setattr(bootstrap, "GROUP_MAX", group_max)
+        monkeypatch.setattr(_pool, "GROUP_MAX", group_max)
         for n in (1, 2):
             caplog.clear()
             summary = at_workers(n, run_validation, sample, replicas, TINY_SETTINGS, 8)
