@@ -96,10 +96,16 @@ def bootstrap_pair(sample: IncomeSample, seed: int | np.random.SeedSequence
                     IncomeSample._from_ascending(test))
 
 
+def _two_part_rmsle(residuals: ClassResiduals, *model: float) -> float:
+    """Log error over all fit points of ``model`` (see ``ClassResiduals.split_errors``)."""
+    sq_body, n_body, sq_tail, n_tail = residuals.split_errors(*model)
+    return math.sqrt(max(sq_body + sq_tail, 0.0) / (n_body + n_tail))
+
+
 def _class_rmsle(params: TwoClassParams, residuals: ClassResiduals) -> float:
     """Log error of a fitted model on a sample's class statistic."""
-    return residuals.residual_rmsle(params.temperature, params.crossover,
-                                    math.log(params.lam), params.alpha)
+    return _two_part_rmsle(residuals, params.temperature, params.crossover,
+                           math.log(params.lam), params.alpha)
 
 
 def _prepare(sample: IncomeSample, settings: FitSettings, resample: np.random.SeedSequence
@@ -209,20 +215,15 @@ def fixed_proportion_fit(sample: IncomeSample, lam0: float = 0.05,
     temperature = sample.mean
     m_c = ccdf.inverse(lam0)
     log_lam0 = np.log(lam0)
-    # at alpha = 0 the tail residual is the log fraction minus log lam0
-    r, split = train.log_residuals(temperature, m_c, log_lam0, 0.0)
-    g = train.fit_log_income[split:] - math.log(m_c)
     # only points above the crossover carry the slope; with none, alpha is undefined
-    n_tail = int(np.count_nonzero(g > 0.0))
+    n_tail = train.fit_points.size - int(np.searchsorted(train.fit_points, m_c, side="right"))
     if n_tail < 10:
         raise ValueError(f"only {n_tail} class points above the crossover; "
                          "need at least 10 to fit the tail index")
-    # the tail residual r0 + alpha*g is linear in alpha, so its square is a
-    # parabola whose minimiser over the range is the clipped slope
-    r0 = r[split:]
-    alpha = float(np.clip(-(r0 @ g) / (g @ g), *alpha_bounds))
+    # the tail error is a parabola in alpha, so the least one in range is the clipped slope
+    alpha = float(np.clip(train.tail_slope(m_c, log_lam0), *alpha_bounds))
     model = (temperature, m_c, log_lam0, alpha)
     test_rmsle = None
     if test_sample is not None:
-        test_rmsle = ClassResiduals(build_ccdf(test_sample, k)).residual_rmsle(*model)
-    return BaselineFit(lam0, temperature, alpha, m_c, train.residual_rmsle(*model), test_rmsle)
+        test_rmsle = _two_part_rmsle(ClassResiduals(build_ccdf(test_sample, k)), *model)
+    return BaselineFit(lam0, temperature, alpha, m_c, _two_part_rmsle(train, *model), test_rmsle)

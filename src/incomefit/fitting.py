@@ -82,12 +82,10 @@ def region_rmsle(context: FitContext,
     side reports the root mean square over its own points, so the two
     regions recombine to the total when weighted by point counts.
     """
-    residuals, split = context.log_residuals(params.temperature, params.crossover,
-                                             math.log(params.lam), params.alpha)
-    sq = residuals ** 2
-    n_exp, n_par = split, sq.size - split
-    rmsle_exp = float(np.sqrt(np.mean(sq[:split]))) if n_exp else 0.0
-    rmsle_par = float(np.sqrt(np.mean(sq[split:]))) if n_par else 0.0
+    sq_exp, n_exp, sq_par, n_par = context.split_errors(params.temperature, params.crossover,
+                                                        math.log(params.lam), params.alpha)
+    rmsle_exp = math.sqrt(max(sq_exp, 0.0) / n_exp) if n_exp else 0.0
+    rmsle_par = math.sqrt(max(sq_par, 0.0) / n_par) if n_par else 0.0
     return rmsle_exp, n_exp, rmsle_par, n_par
 
 

@@ -8,6 +8,11 @@ error between empirical and model CCDF over the class statistic
 exponential-body mean to match the restricted empirical mean, one
 forcing lam to match the crossover fraction p.
 
+Every reported log error comes from one kernel over the class
+statistic's running sums, in time independent of k: ``stacked_objective``
+and its one-row case ``FitContext.loss_at``, and the per-side errors of
+``ClassResiduals.split_errors`` on a training or out-of-bag statistic.
+
 Degenerate evaluations (no incomes below the crossover, exponent
 overflow, single-knot CCDF) return a large sentinel total instead of
 raising, so a population optimizer can keep ranking candidates.
@@ -68,63 +73,92 @@ class LossBreakdown:
 
 # Rows of the table lookups of one search point (see FitContext._lookup): crossover,
 # count and sum of incomes below it, the 9 running sums at its split, then the
-# context's constants y_mean, u_mean, fit-point count and usable flag.
-_LOOKUP_ROWS = 16
+# context's constants y_mean, u_mean, fit-point count, usable flag and scale.
+_LOOKUP_ROWS = 17
 
 
 class ClassResiduals:
-    """Log residuals of a model on a sample's class statistic.
+    """Running sums of the log residuals of a sample's class statistic.
 
-    Holds only the k-1 fit points (the top class point is excluded),
-    their log incomes and their log empirical CCDF values.
+    Holds the k-1 fit points (the top class point is excluded) and, for
+    every split s of them, sums over the body points [0, s) in rows 0-2
+    and over the tail points [s, end) in rows 3-8 of column s. With y the
+    log empirical CCDF at fit point x, body residuals y + x/T expand into
+    sums of y^2, xy and x^2, with x in power-of-two units ``scale`` so
+    that tiny incomes do not underflow. Tail residuals are expanded
+    about the means of y and u = log x, as w = y - mean(y) and
+    v = u - mean(u), which keeps the cancellation near an optimum small.
     """
 
     def __init__(self, ccdf: EmpiricalCcdf):
-        self.fit_points = ccdf.class_points[:-1].copy()
-        self.fit_log_income = np.log(self.fit_points)
-        self.fit_log_fraction = np.log(ccdf.evaluate(self.fit_points))
+        self.fit_points = x = ccdf.class_points[:-1].copy()
+        y = np.log(ccdf.evaluate(x))
+        u = np.log(x)
+        self._means = (float(y.mean()), float(u.mean()))
+        w = y - self._means[0]
+        v = u - self._means[1]
+        tail_terms = np.array([np.ones_like(x), w, v, w * v, v * v, w * w])
+        self.scale = math.ldexp(1.0, math.frexp(x[-1])[1] - 1)
+        self._sums = np.zeros((9, x.size + 1))
+        self._sums[:3, 1:] = np.cumsum([y * y, x / self.scale * y, (x / self.scale) ** 2], axis=1)
+        # incomes this large overflow later; Python floats overflow to inf silently
+        if not math.isfinite(float(self._sums[2, -1]) * self.scale * self.scale):
+            raise ValueError("incomes too large: the squares of the class points overflow "
+                             "a float")
+        self._sums[3:, :-1] = np.cumsum(tail_terms[:, ::-1], axis=1)[:, ::-1]
 
-    def log_residuals(self, temperature: float, crossover: float, log_lam: float,
-                      alpha: float) -> tuple[np.ndarray, int]:
-        """Empirical minus model log CCDF at the fit points, and the split index.
+    def split_errors(self, temperature: float, crossover: float, log_lam: float,
+                     alpha: float) -> tuple[float, int, float, int]:
+        """Squared log error and point count of the body, then of the tail.
 
-        Points below ``crossover`` take the exponential body -m/T, the
-        rest the Pareto tail log_lam - alpha*log(m/crossover); the split
-        index is the first tail point. ``log_lam = -crossover/T`` gives
-        the continuous model, any other value a two-part model with a
-        jump at the crossover.
+        Fit points below ``crossover`` take the exponential body -m/T, the
+        rest the Pareto tail log_lam - alpha*log(m/crossover).
+        ``log_lam = -crossover/T`` gives the continuous model, any other
+        value a two-part model with a jump at the crossover.
         """
         split = int(np.searchsorted(self.fit_points, crossover, side="left"))
-        log_model = np.empty_like(self.fit_points)
-        log_model[:split] = -self.fit_points[:split] / temperature
-        log_model[split:] = log_lam - alpha * (self.fit_log_income[split:] - math.log(crossover))
-        return self.fit_log_fraction - log_model, split
+        sq_body, sq_tail = _squared_errors(self._sums[:, split], self._means,
+                                           self.scale / temperature, log_lam, alpha, crossover)
+        return float(sq_body), split, float(sq_tail), self.fit_points.size - split
 
-    def residual_rmsle(self, temperature: float, crossover: float, log_lam: float,
-                       alpha: float) -> float:
-        """Root mean square of ``log_residuals`` over all fit points."""
-        r, _ = self.log_residuals(temperature, crossover, log_lam, alpha)
-        return float(np.sqrt(np.mean(r * r)))
+    def tail_slope(self, crossover: float, log_lam: float) -> float:
+        """Pareto index of least tail log error over the fit points above ``crossover``.
+
+        With the tail pinned at ``log_lam``, residuals r + alpha*g (r = y - log_lam,
+        g = log(m/crossover)) are linear in alpha: least squares at -(r.g)/(g.g).
+        """
+        above = int(np.searchsorted(self.fit_points, crossover, side="right"))
+        _, _, _, n, w, v, wv, vv, _ = self._sums[:, above]
+        c = self._means[0] - log_lam
+        d = self._means[1] - math.log(crossover)
+        return float(-(wv + d * w + c * (v + n * d)) / (vv + d * (2.0 * v + n * d)))
+
+
+def _squared_errors(sums, means, inv_t, log_lam, alpha, m_c):
+    """Body and tail squared log errors from the 9 ``sums`` at ``m_c``'s split, inv_t = scale/T."""
+    yy, xy, xx, n_tail, w, v, wv, vv, ww = sums
+    y_mean, u_mean = means
+    sq_body = yy + inv_t * (2.0 * xy + inv_t * xx)
+    # tail residual y - log_lam + alpha*(u - log m_c) = w + alpha*v + a
+    a = y_mean - log_lam - alpha * (np.log(m_c) - u_mean)
+    sq_tail = (ww + alpha * (2.0 * wv + alpha * vv)
+               + a * (2.0 * (w + alpha * v) + n_tail * a))
+    return sq_body, sq_tail
 
 
 class FitContext(ClassResiduals):
-    """Precomputed empirical quantities shared by all loss evaluations.
+    """The class statistic's running sums plus the tables a search point reads.
 
-    Holding the class statistic, its log CCDF values and running sums
-    up front keeps evaluations cheap, which matters when a swarm calls
-    the loss thousands of times. Immutable after construction and safe
-    to share.
+    Built once per sample so that the swarm's thousands of evaluations
+    stay cheap; immutable after construction and safe to share.
 
     A context scores only search points with 0 < p <= ``P_MAX``, every
-    other point the sentinel, so it keeps just what those read: the CCDF
-    knots of fraction at most ``P_MAX`` plus the next one, the incomes
-    from that knot's income up, and the class statistic. It holds no
-    sample or CCDF.
-
-    ``loss_at`` evaluates one point exactly from the residual array and
-    backs the reported loss breakdown; ``stacked_objective`` scores whole
-    populations on one or more contexts from their running sums, in time
-    independent of k, and drives the optimizer.
+    other point the sentinel, so its lookup tables keep just what those
+    read: the CCDF knots of fraction at most ``P_MAX`` plus the next one,
+    and the incomes from that knot's income up. It holds no sample or
+    CCDF. ``stacked_objective`` scores whole populations on one or more
+    contexts and drives the optimizer; ``loss_at`` is its one-row case
+    and backs the reported loss breakdown.
     """
 
     def __init__(self, sample: IncomeSample, k: int = DEFAULT_CLASS_POINTS):
@@ -138,26 +172,6 @@ class FitContext(ClassResiduals):
         self.mean = sample.mean
         self.min_fraction = ccdf.min_fraction
 
-        # Running sums for stacked_objective: column s sums the body points
-        # [0, s) in rows 0-2 and the tail points [s, end) in rows 3-8.
-        # Body residuals y + x/T expand into sums of y^2, xy and x^2. Tail
-        # residuals are expanded about the means of y and u = log x, as
-        # w = y - mean(y) and v = u - mean(u), which keeps the
-        # cancellation near an optimum small.
-        x, y = self.fit_points, self.fit_log_fraction
-        self._y_mean = float(y.mean())
-        self._u_mean = float(self.fit_log_income.mean())
-        w = y - self._y_mean
-        v = self.fit_log_income - self._u_mean
-        tail_terms = np.array([np.ones_like(x), w, v, w * v, v * v, w * w])
-        self._sums = np.zeros((9, x.size + 1))
-        with np.errstate(over="ignore"):
-            self._sums[:3, 1:] = np.cumsum([y * y, x * y, x * x], axis=1)
-        if not np.isfinite(self._sums[2, -1]):
-            raise ValueError("incomes too large: the squares of the class points overflow "
-                             "a float")
-        self._sums[3:, :-1] = np.cumsum(tail_terms[:, ::-1], axis=1)[:, ::-1]
-
         # Lookup tables, cut to what a point with p <= P_MAX reads: the
         # interpolated inverse CCDF, and the ascending incomes from index
         # _below up with their prefix sums.
@@ -168,9 +182,8 @@ class FitContext(ClassResiduals):
         self._below = int(np.searchsorted(sample.ascending, self._inc_by_fr[-1], side="left"))
         self._ascending = sample.ascending[self._below:].copy()
         self._prefix = sample._prefix[self._below:].copy()
-        # lookup rows 12-15
-        self._constants = np.array([self._y_mean, self._u_mean, float(self.fit_points.size),
-                                    float(not self.single_knot)])
+        self._constants = np.array([*self._means, float(self.fit_points.size),  # rows 12-16
+                                    float(not self.single_knot), self.scale])
 
     def _lookup(self, p: np.ndarray) -> np.ndarray:
         """The ``_LOOKUP_ROWS`` table lookups of fractions ``p``, one column per point."""
@@ -184,38 +197,42 @@ class FitContext(ClassResiduals):
         return out
 
     def loss_at(self, p: float, alpha: float, temperature: float) -> LossBreakdown:
-        """Evaluate the full loss; sentinel on degenerate configurations."""
-        p_arr = np.array([p], dtype=float)
-        lookup = self._lookup(p_arr)
-        z, mean_pen, frac_pen, ok = _penalties(lookup, p_arr, alpha, temperature)
-        if not ok[0]:
+        """The loss breakdown at one point; sentinel on degenerate configurations."""
+        rmsle_val, mean_pen, frac_pen, z, m_c, ok = (
+            float(row[0]) for row in _losses([self], [np.array([[p, alpha, temperature]])]))
+        if not ok:
             return LossBreakdown.sentinel()
-        m_c, z = float(lookup[0, 0]), float(z[0])
-        rmsle_val = self.residual_rmsle(temperature, m_c, -z, alpha)
-        mean_pen, frac_pen = float(mean_pen[0]), float(frac_pen[0])
         params = TwoClassParams(math.exp(-z), temperature, alpha)
         return LossBreakdown(rmsle_val, mean_pen, frac_pen,
                              rmsle_val + mean_pen + frac_pen, params, m_c)
 
 
-def _penalties(lookup, p, alpha, temperature):
-    """Exponent z = m_c/T, both penalties and validity per search point.
+def _losses(contexts, blocks):
+    """RMSLE, both penalties, z = m_c/T, m_c and validity of each stacked row.
 
-    A point is valid when 0 < p <= P_MAX, T > 0, alpha > 1, m_c > 0, z
-    does not overflow, some income lies below the crossover and the
-    CCDF has more than one knot; NaN makes it invalid. Invalid points
-    compute garbage under errstate, which callers mask.
+    Block i of (n_i, 3) search points is scored on ``contexts[i]``. A row
+    is valid when 0 < p <= P_MAX, T > 0, alpha > 1, 2**-53 <= z <=
+    _EXP_OVERFLOW (so that m_c > 0 and lam = exp(-z) lies in (0, 1) as a
+    float), some income lies below the crossover and the CCDF has more
+    than one knot; NaN makes it invalid. Invalid rows compute garbage
+    under errstate, which callers mask.
     """
-    m_c, count, total = lookup[0], lookup[1], lookup[2]
-    usable = lookup[15]
+    p, alpha, temperature = np.concatenate(blocks, dtype=float).T
+    ends = np.cumsum([len(block) for block in blocks]).tolist()
+    lookup = np.concatenate([context._lookup(p[end - len(block):end])
+                             for context, block, end in zip(contexts, blocks, ends)], axis=1)
+    m_c, count, total = lookup[:3]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z = m_c / temperature
         theo_mean = temperature - m_c / np.expm1(z)
         mean_pen = np.abs(theo_mean / (total / count) - 1.0)
         frac_pen = np.abs(np.exp(-z) / p - 1.0)
+        sq_body, sq_tail = _squared_errors(lookup[3:12], lookup[12:14],
+                                           lookup[16] / temperature, -z, alpha, m_c)
+        rmsle_val = np.sqrt(np.maximum(sq_body + sq_tail, 0.0) / lookup[14])
     ok = ((p > 0.0) & (p <= P_MAX) & (temperature > 0.0) & (alpha > 1.0)
-          & (m_c > 0.0) & (z <= _EXP_OVERFLOW) & (count > 0) & (usable > 0.0))
-    return z, mean_pen, frac_pen, ok
+          & (z >= 2.0 ** -53) & (z <= _EXP_OVERFLOW) & (count > 0) & (lookup[15] > 0.0))
+    return rmsle_val, mean_pen, frac_pen, z, m_c, ok
 
 
 def stacked_objective(contexts, blocks) -> np.ndarray:
@@ -223,26 +240,10 @@ def stacked_objective(contexts, blocks) -> np.ndarray:
 
     Each context looks up its own rows in its tables; the arithmetic then
     runs once over all rows, so each block scores bit for bit as it would
-    stacked alone. Each value agrees with ``loss_at(...).total`` to
-    rounding and is the sentinel under the same rules. Values come back
-    concatenated in block order.
+    stacked alone, and each row as ``loss_at(...).total``. Values come
+    back concatenated in block order.
     """
-    p, alpha, temperature = np.concatenate(blocks, dtype=float).T
-    ends = np.cumsum([len(block) for block in blocks]).tolist()
-    lookup = np.concatenate([context._lookup(p[end - len(block):end])
-                             for context, block, end in zip(contexts, blocks, ends)], axis=1)
-    m_c = lookup[0]
-    yy, xy, xx, n_tail, w, v, wv, vv, ww = lookup[3:12]
-    y_mean, u_mean, n_fit = lookup[12:15]
-    z, mean_pen, frac_pen, ok = _penalties(lookup, p, alpha, temperature)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv_t = 1.0 / temperature
-        sq_body = yy + inv_t * (2.0 * xy + inv_t * xx)
-        # tail residual y + z + alpha*(u - log m_c) = w + alpha*v + a
-        a = y_mean + z - alpha * (np.log(m_c) - u_mean)
-        sq_tail = (ww + alpha * (2.0 * wv + alpha * vv)
-                   + a * (2.0 * (w + alpha * v) + n_tail * a))
-        rmsle_val = np.sqrt(np.maximum(sq_body + sq_tail, 0.0) / n_fit)
+    rmsle_val, mean_pen, frac_pen, _, _, ok = _losses(contexts, blocks)
     return np.where(ok, rmsle_val + mean_pen + frac_pen, SENTINEL_LOSS)
 
 

@@ -19,7 +19,7 @@ from incomefit import (
     sample_incomes,
 )
 from incomefit.bootstrap import INDICATORS, _class_rmsle
-from incomefit.objective import ClassResiduals, FitContext
+from incomefit.objective import ClassResiduals
 
 QUICK = FitSettings(k=600, n_candidates=16, max_iters=50, refine_every=15,
                     refine_max_steps=30)
@@ -170,6 +170,16 @@ class TestRunValidation:
         assert summary.n_effective == 0
         assert summary.stats == {}
 
+    def test_replica_whose_top_fraction_rounds_to_one_is_dropped(self, caplog):
+        # one income of 3e17 puts the search box's temperatures so far above the
+        # crossover of 2 that exp(-m_c/T) rounds to 1: those replicas drop, the run goes on
+        sample = IncomeSample(([1.0] * 8 + [2.0, 3.001631813210701e+17]) * 3)
+        summary = run_validation(sample, 20, FitSettings(k=50, n_candidates=8, max_iters=10),
+                                 seed=1)
+        assert 0 < summary.n_effective < 20
+        assert all(0.0 < r.top_fraction < 1.0 for r in summary.replicas)
+        assert "no non-degenerate model" in caplog.text
+
     def test_rejects_too_few_replicas(self):
         sample = IncomeSample([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
@@ -232,12 +242,14 @@ class TestFixedProportionBaseline:
     def test_alpha_minimises_tail_error(self, seed, lam0, k):
         sample = sample_incomes(TwoClassParams(0.10, 1800.0, 1.8), 20_000, seed=seed)
         base = fixed_proportion_fit(sample, lam0, k=k)
-        context = FitContext(sample, k)
+        ccdf = build_ccdf(sample, k)
+        pts = ccdf.class_points[:-1]
+        tail = pts[pts >= base.crossover]
+        log_fraction = np.log(ccdf.evaluate(tail))
 
         def tail_error(alpha):
-            r, split = context.log_residuals(base.temperature, base.crossover,
-                                             np.log(lam0), alpha)
-            return np.mean(r[split:] ** 2)
+            r = log_fraction - (np.log(lam0) - alpha * np.log(tail / base.crossover))
+            return np.mean(r ** 2)
 
         assert 1.0 < base.pareto_index < 3.0
         for step in (1e-6, -1e-6):

@@ -201,6 +201,19 @@ class TestLoss:
         assert b2.mean_penalty == pytest.approx(b1.mean_penalty, rel=1e-9)
         assert b2.crossover == pytest.approx(b1.crossover * c, rel=1e-9)
 
+    def test_rescaling_covariance_at_tiny_incomes(self, two_class_sample):
+        # the squares of incomes this small underflow a float
+        c = 2.0 ** -1000
+        ctx1 = FitContext(two_class_sample, k=2000)
+        ctx2 = FitContext(IncomeSample(two_class_sample.values * c), k=2000)
+        b1 = ctx1.loss_at(0.09, 1.9, 1750.0)
+        b2 = ctx2.loss_at(0.09, 1.9, 1750.0 * c)
+        assert b2.rmsle == pytest.approx(b1.rmsle, rel=1e-9)
+        assert b2.total == pytest.approx(b1.total, rel=1e-9)
+        split1 = ctx1.split_errors(1750.0, b1.crossover, -2.0, 1.9)
+        split2 = ctx2.split_errors(1750.0 * c, b2.crossover, -2.0, 1.9)
+        assert split2 == pytest.approx(split1, rel=1e-9)
+
     def test_crossover_continuous_and_monotone_in_fraction(self, two_class_sample):
         ctx = FitContext(two_class_sample, k=2000)
         ps = np.linspace(0.005, 0.2, 500)
@@ -228,6 +241,17 @@ class TestLoss:
         b = ctx_flat.loss_at(0.1, 2.0, 7.0)
         assert b.degenerate and b.total == SENTINEL_LOSS
 
+    def test_sentinel_when_top_fraction_rounds_to_one(self):
+        # p = 0.2 puts the crossover at 2; z = m_c/T below 2**-53 leaves exp(-z) == 1.0
+        sample = IncomeSample([1.0] * 8 + [2.0, 3.001631813210701e+17])
+        ctx = FitContext(sample, k=10)
+        assert ctx.loss_at(0.2, 2.0, 4.298e16).degenerate
+        assert ctx.loss_at(0.2, 2.0, 2.0 ** 55).degenerate
+        edge = ctx.loss_at(0.2, 2.0, 2.0 ** 54)
+        assert not edge.degenerate and edge.params.lam < 1.0
+        for seed in range(5):
+            assert fit_sample(sample, seed=seed).params.lam < 1.0
+
     def test_deterministic(self, two_class_sample):
         ctx = FitContext(two_class_sample, k=1000)
         x = (0.12, 1.7, 1900.0)
@@ -235,7 +259,7 @@ class TestLoss:
 
 
 class TestObjectiveBatch:
-    """The batched prefix-sum loss against the exact per-point path."""
+    """The batched prefix-sum loss against the reference functions, and ``loss_at`` against it."""
 
     REL = 1e-9
 
@@ -251,40 +275,47 @@ class TestObjectiveBatch:
         return ctx, bounds, optimum
 
     @staticmethod
-    def exact(ctx, points):
-        return np.array([ctx.loss_at(*x).total for x in points])
-
-    @staticmethod
-    def oracle(sample, k, x):
-        """Total from the reference functions alone."""
-        point = SearchPoint(*x)
+    def exact(sample, k, points):
+        """Totals from the reference functions alone, on one CCDF of ``sample``."""
         ccdf = build_ccdf(sample, k)
         fit_points = ccdf.class_points[:-1]
-        params, m_c = resolve_params(point, ccdf)
         emp = ccdf.evaluate(fit_points)
-        mod = model_ccdf(params, fit_points)
-        return (rmsle(emp, mod) + l1_penalty(point.temperature, m_c, sample)
-                + l2_penalty(params.lam, point.p))
+        totals = []
+        for x in points:
+            point = SearchPoint(*x)
+            params, m_c = resolve_params(point, ccdf)
+            totals.append(rmsle(emp, model_ccdf(params, fit_points))
+                          + l1_penalty(point.temperature, m_c, sample)
+                          + l2_penalty(params.lam, point.p))
+        return np.array(totals)
 
-    def test_matches_loss_at_in_default_box(self, case):
+    @staticmethod
+    def assert_loss_at_is_stacked(ctx, points, batch):
+        totals = np.array([ctx.loss_at(*x).total for x in points])
+        assert totals.tobytes() == batch.tobytes()
+
+    def test_matches_loss_at_in_default_box(self, case, two_class_sample):
         ctx, bounds, _ = case
         rng = np.random.default_rng(101)
         points = bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * rng.random((20_000, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             batch = stacked_objective([ctx], [points])
-        exact = self.exact(ctx, points)
         assert batch.shape == (20_000,)
-        np.testing.assert_allclose(batch, exact, rtol=self.REL, atol=0)
+        np.testing.assert_allclose(batch, self.exact(two_class_sample, ctx.k, points),
+                                   rtol=self.REL, atol=0)
+        self.assert_loss_at_is_stacked(ctx, points, batch)
 
-    def test_matches_loss_at_near_optimum(self, case):
+    def test_matches_loss_at_near_optimum(self, case, two_class_sample):
         ctx, _, optimum = case
         rng = np.random.default_rng(202)
         points = optimum * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, (2000, 3)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             batch = stacked_objective([ctx], [points])
-        np.testing.assert_allclose(batch, self.exact(ctx, points), rtol=self.REL, atol=0)
+        np.testing.assert_allclose(batch, self.exact(two_class_sample, ctx.k, points),
+                                   rtol=self.REL, atol=0)
+        self.assert_loss_at_is_stacked(ctx, points, batch)
 
     def test_matches_reference_oracle(self, case, two_class_sample):
         ctx, bounds, optimum = case
@@ -296,7 +327,7 @@ class TestObjectiveBatch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             batch = stacked_objective([ctx], [points])
-        oracle = np.array([self.oracle(two_class_sample, ctx.k, x) for x in points])
+        oracle = self.exact(two_class_sample, ctx.k, points)
         np.testing.assert_allclose(batch, oracle, rtol=self.REL, atol=0)
 
     def test_sentinel_rows(self, two_class_sample):
@@ -314,13 +345,14 @@ class TestObjectiveBatch:
             [0.1, 1.0, 1800.0],      # alpha <= 1
             [0.1, 0.5, 1800.0],
             [0.01, 2.0, 1e-6],       # exponent overflow
+            [0.1, 1.8, 1e300],       # exp(-m_c/T) rounds to 1
         ])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = stacked_objective([ctx], [rows])
-        exact = self.exact(ctx, rows)
-        assert np.all(exact[1:] == SENTINEL_LOSS)
-        assert values[0] == pytest.approx(exact[0], rel=self.REL)
+        assert all(ctx.loss_at(*x).degenerate for x in rows[1:])
+        assert values[0] == pytest.approx(self.exact(two_class_sample, 1000, rows[:1])[0],
+                                          rel=self.REL)
         assert np.all(values[1:] == SENTINEL_LOSS)
 
     def test_sentinel_on_all_equal_sample(self):

@@ -1,10 +1,10 @@
 """Property tests of the loss on small two-class samples and random search points.
 
 The stacked evaluator scores each context's rows exactly as that context
-alone does, every context scores p > P_MAX as the sentinel, and inside
-the search box the batched loss agrees with the reference composition
-of ``resolve_params``, ``rmsle`` and the two penalties on the sample's
-own CCDF.
+alone does and as ``loss_at`` does row by row, every context scores
+p > P_MAX as the sentinel, and inside the search box the batched loss
+agrees with the reference composition of ``resolve_params``, ``rmsle``
+and the two penalties on the sample's own CCDF.
 """
 
 import numpy as np
@@ -82,6 +82,15 @@ def test_stacked_equals_each_context_alone(data):
     stacked = stacked_objective(group, blocks)
     alone = np.concatenate([stacked_objective([c], [X]) for c, X in zip(group, blocks)])
     assert stacked.tobytes() == alone.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_loss_at_total_is_the_stacked_value(data):
+    context = data.draw(contexts())
+    X = data.draw(points(context, p_range=(-0.05, 1.1)))
+    totals = np.array([context.loss_at(*x).total for x in X])
+    assert totals.tobytes() == stacked_objective([context], [X]).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
