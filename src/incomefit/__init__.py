@@ -8,35 +8,18 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .ccdf import (
-    IncomeSample,
-    build_ccdf,
-    class_statistic,
-    empirical_gini,
-    empirical_mean,
-)
+from .ccdf import IncomeSample, build_ccdf, class_statistic, empirical_gini
 from .model import (
     TwoClassParams,
     crossover_income,
     draw_incomes,
-    exponential_regime_mean,
     gini_expansion,
     model_ccdf,
-    model_log_ccdf,
     model_mean,
-    model_pdf,
     sample_incomes,
     theoretical_gini,
 )
-from .objective import (
-    FitContext,
-    SENTINEL_LOSS,
-    SearchPoint,
-    l1_penalty,
-    l2_penalty,
-    resolve_params,
-    rmsle,
-)
+from .objective import FitContext, SENTINEL_LOSS, SearchPoint
 from .swarm import drive, initialize, refine, search, step
 from .fitting import FitSettings, fit_sample
 from .bootstrap import bootstrap_pair, fixed_proportion_fit, run_validation

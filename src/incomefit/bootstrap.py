@@ -66,7 +66,6 @@ class BaselineFit:
     pareto_index: float
     crossover: float
     train_rmsle: float
-    test_rmsle: float | None
 
 
 def bootstrap_pair(sample: IncomeSample, seed: int | np.random.SeedSequence
@@ -198,8 +197,8 @@ def run_validation(sample: IncomeSample, n_replicas: int,
 
 def fixed_proportion_fit(sample: IncomeSample, lam0: float = 0.05,
                          k: int = DEFAULT_CLASS_POINTS,
-                         alpha_bounds: tuple[float, float] = (ALPHA_MIN, FitSettings.alpha_max),
-                         test_sample: IncomeSample | None = None) -> BaselineFit:
+                         alpha_bounds: tuple[float, float] = (ALPHA_MIN, FitSettings.alpha_max)
+                         ) -> BaselineFit:
     """Baseline with the tail share pinned at ``lam0``.
 
     Temperature is the whole-sample mean, the crossover is the
@@ -222,8 +221,5 @@ def fixed_proportion_fit(sample: IncomeSample, lam0: float = 0.05,
                          "need at least 10 to fit the tail index")
     # the tail error is a parabola in alpha, so the least one in range is the clipped slope
     alpha = float(np.clip(train.tail_slope(m_c, log_lam0), *alpha_bounds))
-    model = (temperature, m_c, log_lam0, alpha)
-    test_rmsle = None
-    if test_sample is not None:
-        test_rmsle = _two_part_rmsle(ClassResiduals(build_ccdf(test_sample, k)), *model)
-    return BaselineFit(lam0, temperature, alpha, m_c, _two_part_rmsle(train, *model), test_rmsle)
+    return BaselineFit(lam0, temperature, alpha, m_c,
+                       _two_part_rmsle(train, temperature, m_c, log_lam0, alpha))

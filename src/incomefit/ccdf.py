@@ -6,8 +6,7 @@ Builds the step-function CCDF with the ``>=`` counting convention
 
 the fixed-size class statistic used to evaluate fit quality independently
 of the population size, a piecewise-linear inverse CCDF for locating the
-crossover income, and empirical summary statistics (restricted mean,
-Gini coefficient).
+crossover income, and the empirical Gini coefficient.
 """
 
 from __future__ import annotations
@@ -83,11 +82,6 @@ class IncomeSample:
     def values(self) -> np.ndarray:
         """The incomes in descending order, a view of ``ascending``."""
         return self._ascending[::-1]
-
-    def count_and_sum_below(self, cutoff: float) -> tuple[int, float]:
-        """Number and sum of incomes strictly below ``cutoff``."""
-        idx = int(np.searchsorted(self._ascending, cutoff, side="left"))
-        return idx, float(self._prefix[idx])
 
     def __len__(self) -> int:
         return self.n
@@ -165,20 +159,6 @@ def build_ccdf(sample: IncomeSample, k: int = DEFAULT_CLASS_POINTS) -> Empirical
     # a knot is the first index of a run of equal incomes; n minus it counts incomes >= it
     first = np.concatenate(([0], np.flatnonzero(asc[1:] != asc[:-1]) + 1))
     return EmpiricalCcdf(asc, first, class_statistic(sample, k))
-
-
-def empirical_mean(sample: IncomeSample, upper_cutoff: float | None = None) -> float:
-    """Mean income, optionally restricted to incomes strictly below a cutoff.
-
-    Raises when no income falls below the cutoff, which signals a
-    degenerate crossover candidate to the caller.
-    """
-    if upper_cutoff is None:
-        return sample.mean
-    count, total = sample.count_and_sum_below(upper_cutoff)
-    if count == 0:
-        raise ValueError(f"no incomes below cutoff {upper_cutoff}: degenerate crossover candidate")
-    return total / count
 
 
 def empirical_gini(sample: IncomeSample) -> float:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,8 +66,8 @@ class FitResult:
     crossover_clamped: bool
     seed: int | np.random.SeedSequence
     settings: FitSettings
-    trace: list[float] = field(default_factory=list)
-    trace_points: list[np.ndarray] = field(default_factory=list)
+    trace: list[float]
+    trace_points: list[np.ndarray]
 
 
 class FitError(ValueError):
@@ -106,7 +106,7 @@ def fit_group(contexts: list[FitContext], settings: FitSettings,
 def solution(context: FitContext, result: OptimizeResult) -> LossBreakdown:
     """Loss breakdown at the best point found; FitError when it is degenerate."""
     breakdown = context.loss_at(*result.x.tolist())
-    if breakdown.degenerate or breakdown.params is None:
+    if breakdown.degenerate:
         raise FitError("optimizer found no non-degenerate model for this sample")
     return breakdown
 
@@ -125,7 +125,6 @@ def fit_sample(sample: IncomeSample, settings: FitSettings = FitSettings(),
     breakdown = solution(context, result)
     point = SearchPoint(*result.x.tolist())
     params = breakdown.params
-    assert breakdown.crossover is not None
     rmsle_exp, n_exp, rmsle_par, n_par = region_rmsle(context, params)
     return FitResult(
         point=point,

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ccdf import IncomeSample
+
 # exp(x) overflows past ~709; treat anything beyond as the limit regime
 _EXP_OVERFLOW = 700.0
 
@@ -46,11 +48,6 @@ class TwoClassParams:
         return self.temperature * math.log(1.0 / self.lam)
 
     @property
-    def tail_scale(self) -> float:
-        """Density prefactor of the tail, lam * alpha * m_c**alpha."""
-        return self.lam * self.alpha * self.crossover ** self.alpha
-
-    @property
     def mean(self) -> float:
         return model_mean(self)
 
@@ -59,8 +56,8 @@ def crossover_income(params: TwoClassParams) -> float:
     return params.crossover
 
 
-def _piecewise(params: TwoClassParams, m, body, tail):
-    """``body(m)`` below the crossover, ``tail(max(m, m_c), m_c)`` from it on.
+def model_ccdf(params: TwoClassParams, m):
+    """CCDF at income ``m`` (scalar or array); continuous at the crossover.
 
     Scalar in, float out; array in, array out.
     """
@@ -68,49 +65,14 @@ def _piecewise(params: TwoClassParams, m, body, tail):
     if np.any(m_arr < 0):
         raise ValueError("income must be non-negative")
     m_c = params.crossover
-    out = np.where(m_arr < m_c, body(m_arr), tail(np.maximum(m_arr, m_c), m_c))
+    # below m_c, exp(-m/T) exceeds lam = exp(-m_c/T) but can round under it
+    # next to m_c; the floor keeps the CCDF from rising into the tail
+    body = np.maximum(np.exp(-m_arr / params.temperature), params.lam)
+    tail = params.lam * np.power(np.maximum(m_arr, m_c) / m_c, -params.alpha)
+    out = np.where(m_arr < m_c, body, tail)
     if np.isscalar(m) or m_arr.ndim == 0:
         return float(out)
     return out
-
-
-def model_ccdf(params: TwoClassParams, m):
-    """CCDF at income ``m`` (scalar or array); continuous at the crossover."""
-    # below m_c, exp(-m/T) exceeds lam = exp(-m_c/T) but can round under it
-    # next to m_c; the floor keeps the CCDF from rising into the tail
-    return _piecewise(params, m,
-                      lambda x: np.maximum(np.exp(-x / params.temperature), params.lam),
-                      lambda x, m_c: params.lam * np.power(x / m_c, -params.alpha))
-
-
-def model_log_ccdf(params: TwoClassParams, m):
-    """log CCDF, computed directly so deep tails never underflow."""
-    return _piecewise(params, m,
-                      lambda x: -x / params.temperature,
-                      lambda x, m_c: math.log(params.lam)
-                      - params.alpha * (np.log(x) - math.log(m_c)))
-
-
-def model_pdf(params: TwoClassParams, m):
-    """Density at income ``m``; integrates to 1 over [0, inf)."""
-    t = params.temperature
-    return _piecewise(params, m,
-                      lambda x: np.exp(-x / t) / t,
-                      lambda x, m_c: params.tail_scale * np.power(x, -params.alpha - 1.0))
-
-
-def exponential_regime_mean(temperature: float, crossover: float) -> float:
-    """Mean of the exponential body restricted to incomes below the crossover.
-
-    Equals T - m_c / (exp(m_c/T) - 1); tends to T as the crossover grows,
-    which is also the returned value when exp(m_c/T) would overflow.
-    """
-    if temperature <= 0.0 or crossover <= 0.0:
-        raise ValueError("temperature and crossover must be positive")
-    x = crossover / temperature
-    if x > _EXP_OVERFLOW:
-        return temperature
-    return temperature - crossover / math.expm1(x)
 
 
 def model_mean(params: TwoClassParams) -> float:
@@ -173,8 +135,6 @@ def draw_incomes(params: TwoClassParams, n: int, seed: int) -> np.ndarray:
     return np.where(u >= params.lam, body, tail)
 
 
-def sample_incomes(params: TwoClassParams, n: int, seed: int):
+def sample_incomes(params: TwoClassParams, n: int, seed: int) -> IncomeSample:
     """Synthetic income sample from the model (n >= 2)."""
-    from .ccdf import IncomeSample
-
     return IncomeSample(draw_incomes(params, n, seed))

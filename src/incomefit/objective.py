@@ -12,6 +12,8 @@ Every reported log error comes from one kernel over the class
 statistic's running sums, in time independent of k: ``stacked_objective``
 and its one-row case ``FitContext.loss_at``, and the per-side errors of
 ``ClassResiduals.split_errors`` on a training or out-of-bag statistic.
+The tests check it against the loss composed directly from its
+definition in ``tests/oracle.py``.
 
 Degenerate evaluations (no incomes below the crossover, exponent
 overflow, single-knot CCDF) return a large sentinel total instead of
@@ -25,14 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccdf import (
-    DEFAULT_CLASS_POINTS,
-    EmpiricalCcdf,
-    IncomeSample,
-    build_ccdf,
-    empirical_mean,
-)
-from .model import TwoClassParams, exponential_regime_mean, _EXP_OVERFLOW
+from .ccdf import DEFAULT_CLASS_POINTS, EmpiricalCcdf, IncomeSample, build_ccdf
+from .model import TwoClassParams, _EXP_OVERFLOW
 
 SENTINEL_LOSS = 1.0e6
 # The largest crossover fraction any fit searches: the Pareto class holds at
@@ -245,50 +241,3 @@ def stacked_objective(contexts, blocks) -> np.ndarray:
     """
     rmsle_val, mean_pen, frac_pen, _, _, ok = _losses(contexts, blocks)
     return np.where(ok, rmsle_val + mean_pen + frac_pen, SENTINEL_LOSS)
-
-
-def resolve_params(x: SearchPoint, ccdf: EmpiricalCcdf) -> tuple[TwoClassParams, float]:
-    """Turn a search point into model parameters via the empirical CCDF.
-
-    The crossover income is the interpolated inverse CCDF at fraction p
-    and the top fraction follows from continuity, lam = exp(-m_c/T).
-    """
-    if ccdf.incomes.size < 2:
-        raise ValueError("degenerate CCDF: fewer than two distinct incomes")
-    m_c = ccdf.inverse(x.p)
-    if m_c <= 0.0:
-        raise ValueError(f"interpolated crossover is non-positive: {m_c}")
-    z = m_c / x.temperature
-    if z > _EXP_OVERFLOW:
-        raise ValueError("top fraction underflows: crossover far above temperature scale")
-    return TwoClassParams(math.exp(-z), x.temperature, x.alpha), m_c
-
-
-def rmsle(empirical, model) -> float:
-    """Root mean squared logarithmic error between two CCDF vectors."""
-    emp = np.asarray(empirical, dtype=float)
-    mod = np.asarray(model, dtype=float)
-    if emp.shape != mod.shape:
-        raise ValueError("empirical and model vectors must have equal length")
-    if np.any(emp <= 0.0) or np.any(mod <= 0.0):
-        raise ValueError("CCDF values must be strictly positive")
-    r = np.log(emp) - np.log(mod)
-    return float(np.sqrt(np.mean(r * r)))
-
-
-def l1_penalty(temperature: float, crossover: float, sample: IncomeSample) -> float:
-    """Relative mismatch between model and data body means.
-
-    |theoretical exponential-body mean / restricted empirical mean - 1|,
-    the restricted mean running over incomes strictly below the crossover.
-    """
-    body_mean = empirical_mean(sample, upper_cutoff=crossover)
-    return abs(exponential_regime_mean(temperature, crossover) / body_mean - 1.0)
-
-
-def l2_penalty(lam: float, p: float) -> float:
-    """Relative mismatch between the model top fraction and the crossover fraction."""
-    if p <= 0.0:
-        raise ValueError(f"crossover fraction must be positive, got {p}")
-    return abs(lam / p - 1.0)
-

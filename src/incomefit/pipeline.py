@@ -359,9 +359,9 @@ def write_fit_report(path: Path, fit: FitResult, spec: DatasetSpec,
             ("total", fit.loss.rmsle),
         ]),
         ("optimizer", [
-            ("initial_best", fit.trace[0] if fit.trace else float("nan")),
-            ("final_best", fit.trace[-1] if fit.trace else float("nan")),
-            ("iterations", len(fit.trace) - 2 if len(fit.trace) >= 2 else 0),
+            ("initial_best", fit.trace[0]),
+            ("final_best", fit.trace[-1]),
+            ("iterations", len(fit.trace) - 2),
         ]),
         ("config", _settings_items(fit.settings, fit.seed)),
     ]

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from collections.abc import Generator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -62,18 +61,11 @@ class SwarmState:
     informant_redraws: int = 0
 
 
-@lru_cache(maxsize=None)
-def _informant_rows(n: int, k: int) -> np.ndarray:
-    rows = np.repeat(np.arange(n), k)
-    rows.flags.writeable = False
-    return rows
-
-
 def _draw_informants(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """Membership matrix: each candidate joins k random sets plus its own."""
     informs = np.zeros((n, n), dtype=bool)
     targets = rng.integers(0, n, size=(n, k))
-    informs[_informant_rows(n, k), targets.ravel()] = True
+    informs[np.repeat(np.arange(n), k), targets.ravel()] = True
     np.fill_diagonal(informs, True)
     return informs
 

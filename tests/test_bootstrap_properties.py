@@ -18,11 +18,11 @@ from incomefit import (  # noqa: E402
     build_ccdf,
     fixed_proportion_fit,
     model_ccdf,
-    rmsle,
     sample_incomes,
 )
 from incomefit.bootstrap import _class_rmsle  # noqa: E402
 from incomefit.objective import ClassResiduals  # noqa: E402
+from oracle import rmsle  # noqa: E402
 
 
 def two_class_params():

@@ -10,8 +10,8 @@ from incomefit import (
     build_ccdf,
     class_statistic,
     empirical_gini,
-    empirical_mean,
 )
+from oracle import empirical_mean
 
 
 @pytest.fixture(scope="module")

@@ -14,17 +14,19 @@ from incomefit import (
     SearchPoint,
     TwoClassParams,
     build_ccdf,
-    empirical_mean,
-    exponential_regime_mean,
     fit_sample,
-    l1_penalty,
-    l2_penalty,
     model_ccdf,
-    resolve_params,
-    rmsle,
     sample_incomes,
 )
 from incomefit.objective import stacked_objective
+from oracle import (
+    empirical_mean,
+    exponential_regime_mean,
+    l1_penalty,
+    l2_penalty,
+    resolve_params,
+    rmsle,
+)
 
 
 @pytest.fixture(scope="module")

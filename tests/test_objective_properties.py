@@ -19,15 +19,12 @@ from incomefit import (  # noqa: E402
     SearchPoint,
     TwoClassParams,
     build_ccdf,
-    l1_penalty,
-    l2_penalty,
     model_ccdf,
-    resolve_params,
-    rmsle,
     sample_incomes,
 )
 from incomefit.fitting import P_MAX  # noqa: E402
 from incomefit.objective import stacked_objective  # noqa: E402
+from oracle import l1_penalty, l2_penalty, resolve_params, rmsle  # noqa: E402
 
 
 @st.composite
