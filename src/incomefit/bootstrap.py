@@ -95,16 +95,10 @@ def bootstrap_pair(sample: IncomeSample, seed: int | np.random.SeedSequence
                     IncomeSample._from_ascending(test))
 
 
-def _two_part_rmsle(residuals: ClassResiduals, *model: float) -> float:
-    """Log error over all fit points of ``model`` (see ``ClassResiduals.split_errors``)."""
-    sq_body, n_body, sq_tail, n_tail = residuals.split_errors(*model)
-    return math.sqrt(max(sq_body + sq_tail, 0.0) / (n_body + n_tail))
-
-
 def _class_rmsle(params: TwoClassParams, residuals: ClassResiduals) -> float:
     """Log error of a fitted model on a sample's class statistic."""
-    return _two_part_rmsle(residuals, params.temperature, params.crossover,
-                           math.log(params.lam), params.alpha)
+    return residuals.split_errors(params.temperature, params.crossover, math.log(params.lam),
+                                  params.alpha)[-1]
 
 
 def _prepare(sample: IncomeSample, settings: FitSettings, resample: np.random.SeedSequence
@@ -222,4 +216,4 @@ def fixed_proportion_fit(sample: IncomeSample, lam0: float = 0.05,
     # the tail error is a parabola in alpha, so the least one in range is the clipped slope
     alpha = float(np.clip(train.tail_slope(m_c, log_lam0), *alpha_bounds))
     return BaselineFit(lam0, temperature, alpha, m_c,
-                       _two_part_rmsle(train, temperature, m_c, log_lam0, alpha))
+                       train.split_errors(temperature, m_c, log_lam0, alpha)[-1])

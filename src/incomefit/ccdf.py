@@ -19,7 +19,7 @@ DEFAULT_CLASS_POINTS = 10000
 
 
 class IncomeSample:
-    """Cleaned income observations, held as a descending order statistic.
+    """Cleaned income observations, held in ascending order.
 
     Parameters
     ----------
@@ -82,9 +82,6 @@ class IncomeSample:
     def values(self) -> np.ndarray:
         """The incomes in descending order, a view of ``ascending``."""
         return self._ascending[::-1]
-
-    def __len__(self) -> int:
-        return self.n
 
     def __repr__(self) -> str:
         return f"IncomeSample(n={self.n}, mean={self.mean:.6g})"

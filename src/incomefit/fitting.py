@@ -74,21 +74,6 @@ class FitError(ValueError):
     """Fit could not produce a non-degenerate model for the sample."""
 
 
-def region_rmsle(context: FitContext,
-                 params: TwoClassParams) -> tuple[float, int, float, int]:
-    """Log-error split of the loss grid at the model's crossover.
-
-    Points at or above the crossover count toward the Pareto side; each
-    side reports the root mean square over its own points, so the two
-    regions recombine to the total when weighted by point counts.
-    """
-    sq_exp, n_exp, sq_par, n_par = context.split_errors(params.temperature, params.crossover,
-                                                        math.log(params.lam), params.alpha)
-    rmsle_exp = math.sqrt(max(sq_exp, 0.0) / n_exp) if n_exp else 0.0
-    rmsle_par = math.sqrt(max(sq_par, 0.0) / n_par) if n_par else 0.0
-    return rmsle_exp, n_exp, rmsle_par, n_par
-
-
 def fit_group(contexts: list[FitContext], settings: FitSettings,
               seeds: list[int | np.random.SeedSequence]) -> list[OptimizeResult]:
     """Swarm search of each context on its own seed, all advanced together.
@@ -104,10 +89,17 @@ def fit_group(contexts: list[FitContext], settings: FitSettings,
 
 
 def solution(context: FitContext, result: OptimizeResult) -> LossBreakdown:
-    """Loss breakdown at the best point found; FitError when it is degenerate."""
+    """Loss breakdown at the best point found.
+
+    FitError when it is degenerate, or when its Pareto class holds at
+    least half of the people: the upper class is a minority.
+    """
     breakdown = context.loss_at(*result.x.tolist())
     if breakdown.degenerate:
         raise FitError("optimizer found no non-degenerate model for this sample")
+    if breakdown.params.lam >= 0.5:
+        raise FitError(f"best model puts a majority in the Pareto tail (top fraction "
+                       f"{breakdown.params.lam:.6g}); the upper class must be a minority")
     return breakdown
 
 
@@ -117,7 +109,8 @@ def fit_sample(sample: IncomeSample, settings: FitSettings = FitSettings(),
     """Fit the two-class model by swarm search over (p, alpha, T).
 
     Raises FitError when the best point found is still degenerate (for
-    example on an all-equal sample with a single CCDF knot).
+    example on an all-equal sample with a single CCDF knot) or puts a
+    majority in the Pareto tail.
     """
     if context is None:
         context = FitContext(sample, settings.k)
@@ -125,7 +118,9 @@ def fit_sample(sample: IncomeSample, settings: FitSettings = FitSettings(),
     breakdown = solution(context, result)
     point = SearchPoint(*result.x.tolist())
     params = breakdown.params
-    rmsle_exp, n_exp, rmsle_par, n_par = region_rmsle(context, params)
+    # split where the model's body meets its tail, T*ln(1/lam)
+    rmsle_exp, n_exp, rmsle_par, n_par, _ = context.split_errors(
+        params.temperature, params.crossover, math.log(params.lam), params.alpha)
     return FitResult(
         point=point,
         params=params,

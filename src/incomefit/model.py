@@ -47,10 +47,6 @@ class TwoClassParams:
         """Income where the body hands over to the tail, T*ln(1/lam)."""
         return self.temperature * math.log(1.0 / self.lam)
 
-    @property
-    def mean(self) -> float:
-        return model_mean(self)
-
 
 def crossover_income(params: TwoClassParams) -> float:
     return params.crossover

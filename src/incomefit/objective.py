@@ -10,14 +10,17 @@ forcing lam to match the crossover fraction p.
 
 Every reported log error comes from one kernel over the class
 statistic's running sums, in time independent of k: ``stacked_objective``
-and its one-row case ``FitContext.loss_at``, and the per-side errors of
-``ClassResiduals.split_errors`` on a training or out-of-bag statistic.
+and its one-row case ``FitContext.loss_at``, and
+``ClassResiduals.split_errors``, which gives the RMSLE and point count
+of each side of a crossover and the RMSLE over all fit points, on a
+training or out-of-bag statistic.
 The tests check it against the loss composed directly from its
 definition in ``tests/oracle.py``.
 
-Degenerate evaluations (no incomes below the crossover, exponent
-overflow, single-knot CCDF) return a large sentinel total instead of
-raising, so a population optimizer can keep ranking candidates.
+Degenerate evaluations (no incomes below the crossover, as on a
+single-knot CCDF, or exponent overflow) return a large sentinel total
+instead of raising, so a population optimizer can keep ranking
+candidates.
 """
 
 from __future__ import annotations
@@ -62,15 +65,11 @@ class LossBreakdown:
     crossover: float | None
     degenerate: bool = False
 
-    @classmethod
-    def sentinel(cls) -> "LossBreakdown":
-        return cls(SENTINEL_LOSS, 0.0, 0.0, SENTINEL_LOSS, None, None, True)
-
 
 # Rows of the table lookups of one search point (see FitContext._lookup): crossover,
 # count and sum of incomes below it, the 9 running sums at its split, then the
-# context's constants y_mean, u_mean, fit-point count, usable flag and scale.
-_LOOKUP_ROWS = 17
+# context's constants y_mean, u_mean, fit-point count and scale.
+_LOOKUP_ROWS = 16
 
 
 class ClassResiduals:
@@ -104,18 +103,24 @@ class ClassResiduals:
         self._sums[3:, :-1] = np.cumsum(tail_terms[:, ::-1], axis=1)[:, ::-1]
 
     def split_errors(self, temperature: float, crossover: float, log_lam: float,
-                     alpha: float) -> tuple[float, int, float, int]:
-        """Squared log error and point count of the body, then of the tail.
+                     alpha: float) -> tuple[float, int, float, int, float]:
+        """RMSLE and point count of the body, then of the tail, then the RMSLE of all.
 
         Fit points below ``crossover`` take the exponential body -m/T, the
-        rest the Pareto tail log_lam - alpha*log(m/crossover).
-        ``log_lam = -crossover/T`` gives the continuous model, any other
-        value a two-part model with a jump at the crossover.
+        rest the Pareto tail log_lam - alpha*log(m/crossover); a side with
+        no points has RMSLE 0.0, and the two sides recombine to the whole
+        when weighted by their counts. ``log_lam = -crossover/T`` gives
+        the continuous model, any other value a two-part model with a
+        jump at the crossover.
         """
         split = int(np.searchsorted(self.fit_points, crossover, side="left"))
-        sq_body, sq_tail = _squared_errors(self._sums[:, split], self._means,
-                                           self.scale / temperature, log_lam, alpha, crossover)
-        return float(sq_body), split, float(sq_tail), self.fit_points.size - split
+        n_tail = self.fit_points.size - split
+        sq_body, sq_tail = map(float, _squared_errors(self._sums[:, split], self._means,
+                                                      self.scale / temperature, log_lam, alpha,
+                                                      crossover))
+        body, tail, whole = (math.sqrt(max(sq, 0.0) / n) if n else 0.0 for sq, n in (
+            (sq_body, split), (sq_tail, n_tail), (sq_body + sq_tail, split + n_tail)))
+        return body, split, tail, n_tail, whole
 
     def tail_slope(self, crossover: float, log_lam: float) -> float:
         """Pareto index of least tail log error over the fit points above ``crossover``.
@@ -163,8 +168,6 @@ class FitContext(ClassResiduals):
         self.k = min(int(k), sample.n)
         ccdf = build_ccdf(sample, self.k)
         super().__init__(ccdf)
-        # a single CCDF knot leaves no crossover to interpolate
-        self.single_knot = ccdf.incomes.size < 2
         self.mean = sample.mean
         self.min_fraction = ccdf.min_fraction
 
@@ -178,8 +181,8 @@ class FitContext(ClassResiduals):
         self._below = int(np.searchsorted(sample.ascending, self._inc_by_fr[-1], side="left"))
         self._ascending = sample.ascending[self._below:].copy()
         self._prefix = sample._prefix[self._below:].copy()
-        self._constants = np.array([*self._means, float(self.fit_points.size),  # rows 12-16
-                                    float(not self.single_knot), self.scale])
+        # the lookup's rows 12-15
+        self._constants = np.array([*self._means, float(self.fit_points.size), self.scale])
 
     def _lookup(self, p: np.ndarray) -> np.ndarray:
         """The ``_LOOKUP_ROWS`` table lookups of fractions ``p``, one column per point."""
@@ -197,7 +200,7 @@ class FitContext(ClassResiduals):
         rmsle_val, mean_pen, frac_pen, z, m_c, ok = (
             float(row[0]) for row in _losses([self], [np.array([[p, alpha, temperature]])]))
         if not ok:
-            return LossBreakdown.sentinel()
+            return LossBreakdown(SENTINEL_LOSS, 0.0, 0.0, SENTINEL_LOSS, None, None, True)
         params = TwoClassParams(math.exp(-z), temperature, alpha)
         return LossBreakdown(rmsle_val, mean_pen, frac_pen,
                              rmsle_val + mean_pen + frac_pen, params, m_c)
@@ -209,9 +212,9 @@ def _losses(contexts, blocks):
     Block i of (n_i, 3) search points is scored on ``contexts[i]``. A row
     is valid when 0 < p <= P_MAX, T > 0, alpha > 1, 2**-53 <= z <=
     _EXP_OVERFLOW (so that m_c > 0 and lam = exp(-z) lies in (0, 1) as a
-    float), some income lies below the crossover and the CCDF has more
-    than one knot; NaN makes it invalid. Invalid rows compute garbage
-    under errstate, which callers mask.
+    float) and some income lies below the crossover, which no crossover
+    on a single-knot CCDF has; NaN makes it invalid. Invalid rows
+    compute garbage under errstate, which callers mask.
     """
     p, alpha, temperature = np.concatenate(blocks, dtype=float).T
     ends = np.cumsum([len(block) for block in blocks]).tolist()
@@ -224,10 +227,10 @@ def _losses(contexts, blocks):
         mean_pen = np.abs(theo_mean / (total / count) - 1.0)
         frac_pen = np.abs(np.exp(-z) / p - 1.0)
         sq_body, sq_tail = _squared_errors(lookup[3:12], lookup[12:14],
-                                           lookup[16] / temperature, -z, alpha, m_c)
+                                           lookup[15] / temperature, -z, alpha, m_c)
         rmsle_val = np.sqrt(np.maximum(sq_body + sq_tail, 0.0) / lookup[14])
     ok = ((p > 0.0) & (p <= P_MAX) & (temperature > 0.0) & (alpha > 1.0)
-          & (z >= 2.0 ** -53) & (z <= _EXP_OVERFLOW) & (count > 0) & (lookup[15] > 0.0))
+          & (z >= 2.0 ** -53) & (z <= _EXP_OVERFLOW) & (count > 0))
     return rmsle_val, mean_pen, frac_pen, z, m_c, ok
 
 

@@ -18,7 +18,8 @@ from incomefit import (
     model_ccdf,
     sample_incomes,
 )
-from incomefit.objective import stacked_objective
+from incomefit.fitting import FitError
+from incomefit.objective import P_MAX, stacked_objective
 from oracle import (
     empirical_mean,
     exponential_regime_mean,
@@ -251,8 +252,10 @@ class TestLoss:
         assert ctx.loss_at(0.2, 2.0, 2.0 ** 55).degenerate
         edge = ctx.loss_at(0.2, 2.0, 2.0 ** 54)
         assert not edge.degenerate and edge.params.lam < 1.0
+        # the best points left have lam just under 1: a majority tail, not a fit
         for seed in range(5):
-            assert fit_sample(sample, seed=seed).params.lam < 1.0
+            with pytest.raises(FitError, match="majority in the Pareto tail"):
+                fit_sample(sample, seed=seed)
 
     def test_deterministic(self, two_class_sample):
         ctx = FitContext(two_class_sample, k=1000)
@@ -358,9 +361,13 @@ class TestObjectiveBatch:
         assert np.all(values[1:] == SENTINEL_LOSS)
 
     def test_sentinel_on_all_equal_sample(self):
-        ctx = FitContext(IncomeSample([7.0] * 50), k=10)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.array([[0.1, 2.0, 7.0], [0.5, 1.5, 3.0]])
-            values = stacked_objective([ctx], [rows])
-        assert np.all(values == SENTINEL_LOSS)
+        # a single CCDF knot puts every crossover at that income, with no income below it
+        for values in ([7.0] * 50, [7.0] * 2, [1e-300] * 3):
+            ctx = FitContext(IncomeSample(values), k=10)
+            rows = np.array([[1e-6, 2.0, ctx.mean], [0.1, 2.0, ctx.mean],
+                             [P_MAX, 2.0, ctx.mean], [0.5, 1.5, 3.0]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scores = stacked_objective([ctx], [rows])
+            assert np.all(scores == SENTINEL_LOSS)
+            assert all(ctx.loss_at(*x).degenerate for x in rows)

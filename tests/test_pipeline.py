@@ -17,6 +17,7 @@ from incomefit import (
     DatasetSpec,
     FitSettings,
     TwoClassParams,
+    build_ccdf,
     cmd_baseline,
     cmd_bootstrap,
     cmd_fit,
@@ -31,6 +32,7 @@ import incomefit
 from incomefit import pipeline as pipeline_module
 from incomefit import series as series_module
 from incomefit.cli import _resolve_settings, build_parser, main
+from oracle import rmsle
 
 QUICK = FitSettings(k=800, n_candidates=16, max_iters=50, refine_every=15,
                     refine_max_steps=30)
@@ -184,6 +186,18 @@ class TestCmdFit:
         combined = np.sqrt((fit.n_exponential * fit.rmsle_exponential ** 2
                             + fit.n_pareto * fit.rmsle_pareto ** 2) / n)
         assert combined == pytest.approx(fit.loss.rmsle, rel=1e-9)
+
+    def test_region_errors_match_oracle(self, synth_csv, tmp_path):
+        spec = DatasetSpec(str(synth_csv), "income")
+        fit = cmd_fit(spec, tmp_path / "regions_oracle", QUICK, seed=5)
+        ccdf = build_ccdf(ingest(spec).sample, QUICK.k)
+        pts = ccdf.class_points[:-1]
+        body = pts < fit.params.crossover
+        for side, n, error in ((pts[body], fit.n_exponential, fit.rmsle_exponential),
+                               (pts[~body], fit.n_pareto, fit.rmsle_pareto)):
+            assert n == side.size > 0
+            assert error == pytest.approx(
+                rmsle(ccdf.evaluate(side), model_ccdf(fit.params, side)), rel=1e-9)
 
     def test_plot_curve_consistent_with_report_params(self, synth_csv, tmp_path):
         out = tmp_path / "curve"
@@ -768,6 +782,15 @@ class TestCli:
         code = main(["fit", str(tmp_path / "nope.csv")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_majority_tail_fit_rejected(self, tmp_path, capsys):
+        # one income dominates the mean, so the best model in the box has lam near 1
+        data = tmp_path / "majority.csv"
+        write_csv(data, ["income"] + [repr(x) for x in [1.0] * 8 + [2.0, 3.001631813210701e+17]])
+        code = main(["fit", str(data), "--out-dir", str(tmp_path / "majority"), "--seed", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "majority in the Pareto tail" in err
 
     def test_baseline_command(self, tmp_path, capsys):
         data = tmp_path / "base.csv"
