@@ -4,12 +4,14 @@ Fits each year independently, deflates currency-dimensioned indicators
 (temperature, crossover) to a reference year through a price-index
 ratio, and provides Pearson correlation (with a paired-bootstrap
 uncertainty) and ordinary least squares affine regression between
-indicator series.
+indicator series. Their t-test p-values are computed here, in plain
+floats, so a series needs numpy alone.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -138,22 +140,65 @@ def _rho(a: np.ndarray, b: np.ndarray):
     return np.sum(a * b, axis=-1) / denom
 
 
-def _t_test_p(rho: float, n: int) -> float:
-    if abs(rho) >= 1.0:
-        return 0.0
-    # imported here: ``import incomefit`` does not otherwise load scipy
-    from scipy.special import stdtr
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the regularized incomplete beta function I_x(a, b).
 
-    t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-    return 2.0 * float(stdtr(n - 2, -abs(t)))
+    Evaluated by Lentz's method; for x < (a + 1) / (a + b + 2) it converges
+    in O(sqrt(max(a, b))) terms.
+    """
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 1000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= c * d
+        if abs(c * d - 1.0) <= sys.float_info.epsilon:
+            break
+    return h
+
+
+def _t_test_p(rho: float, n: int) -> float:
+    """Two-sided p-value of t = rho * sqrt(nu / (1 - rho^2)), nu = n - 2.
+
+    On nu degrees of freedom the p-value is I_x(nu/2, 1/2) at
+    x = nu / (nu + t^2) = (1 - rho)(1 + rho), and 1 - x = rho^2. Each is
+    formed from rho on its own: 1 - x by subtraction loses every digit
+    when rho is near 0, and x as 1 - rho^2 loses up to 1e-9 relative when
+    rho is near 1. Where x > (a + 1) / (a + b + 2) the symmetry
+    I_x(a, b) = 1 - I_{1-x}(b, a) keeps the continued fraction short.
+    """
+    r = abs(rho)
+    if r >= 1.0:
+        return 0.0
+    y = r * r
+    if y == 0.0:
+        return 1.0
+    a, b, x = (n - 2) / 2.0, 0.5, (1.0 - r) * (1.0 + r)
+    flip = x > (a + 1.0) / (a + b + 2.0)
+    if flip:
+        a, b, x, y = b, a, y, x
+    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                 + a * math.log(x) + b * math.log(y))
+    beta = math.exp(log_front) * _beta_fraction(a, b, x) / a
+    return 1.0 - beta if flip else beta
 
 
 def pearson(xs, ys, n_boot: int = 1000, seed: int = 0) -> PearsonResult:
     """Sample Pearson coefficient with t-test p-value and bootstrap spread.
 
     The p-value comes from t = rho * sqrt((n-2)/(1-rho^2)) on n-2
-    degrees of freedom; the uncertainty is the standard deviation of rho
-    over paired resamples of the observations.
+    degrees of freedom, as the regularized incomplete beta function
+    I_{1-rho^2}((n-2)/2, 1/2); the uncertainty is the standard deviation
+    of rho over paired resamples of the observations. A constant series
+    has no correlation: rho, its spread and the p-value are then nan, as
+    in ``affine_regression`` for a constant response.
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
@@ -163,7 +208,8 @@ def pearson(xs, ys, n_boot: int = 1000, seed: int = 0) -> PearsonResult:
     if n < 3:
         raise ValueError(f"need at least 3 points, got {n}")
     if np.all(x == x[0]) or np.all(y == y[0]):
-        raise ValueError("correlation is undefined for a constant series")
+        nan = float("nan")
+        return PearsonResult(nan, nan, nan, n)
 
     rho = float(_rho(x, y))
     p_value = _t_test_p(rho, n)

@@ -412,6 +412,24 @@ class TestCmdSeries:
                      "gini_pair.csv", "tail_pair.csv"):
             assert (out / name).exists()
 
+    def test_same_file_every_year(self, tmp_path, capsys):
+        # one sample for every year: the empirical Gini is constant, so its correlation is nan
+        cmd_synth(TwoClassParams(0.08, 1500.0, 1.6), 2_000, 1, tmp_path / "y.csv")
+        write_csv(tmp_path / "defl.csv",
+                  ["year,index", "2012,90.0", "2013,95.0", "2014,100.0"])
+        out = tmp_path / "out"
+        code = main(["series", *(f"--year={y}={tmp_path / 'y.csv'}" for y in (2012, 2013, 2014)),
+                     "--deflators", str(tmp_path / "defl.csv"), "--reference-year", "2014",
+                     "--out-dir", str(out), "--k", "500", "--n-candidates", "10",
+                     "--max-iters", "10"])
+        assert code == 0, capsys.readouterr().err
+        for name in ("series.csv", "correlations.txt", "regression.txt",
+                     "gini_pair.csv", "tail_pair.csv"):
+            assert (out / name).exists()
+        gini = (out / "correlations.txt").read_text(encoding="utf-8").split(
+            "[empirical_vs_theoretical_gini]\n")[1].split("\n\n")[0]
+        assert gini.splitlines() == ["rho = nan", "rho_std = nan", "p_value = nan", "n = 3"]
+
     def test_missing_deflator_named(self, tmp_path):
         cmd_synth(TwoClassParams(0.08, 1500.0, 1.6), 3_000, 1, tmp_path / "y.csv")
         write_csv(tmp_path / "defl.csv", ["year,index", "2019,100.0"])
@@ -672,6 +690,38 @@ class TestCli:
                                 capture_output=True, text=True, check=True)
         assert result.stdout.splitlines()[0] == "[]"
         assert result.stdout.splitlines()[-1] == "[]"
+
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        # scipy is a test dependency only: a blocked import fails any command that reaches it
+        src = str(Path(incomefit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        tiny = ["--k", "300", "--n-candidates", "6", "--max-iters", "5", "--refine-every", "2"]
+        data = {year: str(tmp_path / f"{year}.csv") for year in (2001, 2002, 2003)}
+        defl = tmp_path / "defl.csv"
+        write_csv(defl, ["year,index", "2001,50.0", "2002,75.0", "2003,100.0"])
+        commands = [
+            *(["synth", "--top-fraction", "0.1", "--temperature", "1500", "--pareto-index",
+               "1.7", "-n", "400", "--seed", str(year), "-o", path]
+              for year, path in data.items()),
+            ["fit", data[2001], "--out-dir", str(tmp_path / "fit"), *tiny],
+            ["baseline", data[2001], "--out-dir", str(tmp_path / "base"), *tiny],
+            ["bootstrap", data[2001], "-R", "2", "--out-dir", str(tmp_path / "boot"), *tiny],
+            ["series", *(f"--year={year}={path}" for year, path in data.items()),
+             "--deflators", str(defl), "--reference-year", "2003",
+             "--out-dir", str(tmp_path / "series"), *tiny],
+        ]
+        probe = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import incomefit.cli\n"
+            f"codes = [incomefit.cli.main(argv) for argv in {commands!r}]\n"
+            "print(codes, sorted(m for m, mod in sys.modules.items()\n"
+            "                    if m.split('.')[0] == 'scipy' and mod is not None))\n")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines()[-1] == f"{[0] * len(commands)} []", result.stderr
+        assert (tmp_path / "series" / "correlations.txt").exists()
 
     def test_oversized_csv_field(self, tmp_path, capsys):
         data = tmp_path / "wide.csv"

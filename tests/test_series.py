@@ -1,5 +1,7 @@
 """Yearly indicator series, deflation, correlation and regression kernels."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from incomefit import (
     sample_incomes,
     theoretical_gini,
 )
+from incomefit.series import _t_test_p
 
 QUICK = FitSettings(k=1000, n_candidates=20, max_iters=60, refine_every=15,
                     refine_max_steps=30)
@@ -111,10 +114,11 @@ class TestPearson:
         assert got.p_value == pytest.approx(expected.pvalue, rel=1e-9)
 
     def test_constant_series_rejected(self):
-        with pytest.raises(ValueError):
-            pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
+        # no correlation exists: every statistic is nan, as affine_regression's
+        for xs, ys in [([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])]:
+            res = pearson(xs, ys)
+            assert math.isnan(res.rho) and math.isnan(res.rho_std)
+            assert math.isnan(res.p_value) and res.n == 3
 
     @pytest.mark.parametrize("n", [3, 7, 8, 9, 20])
     def test_spread_equals_one_draw_per_resample(self, n):
@@ -148,6 +152,52 @@ class TestPearson:
             if abs(res.rho - target) <= 2.0 * res.rho_std:
                 hits += 1
         assert hits >= runs * 0.9
+
+
+def exact_t(rho: float, nu: int) -> float:
+    """|t| of a float rho, with 1 - rho^2 formed without cancellation."""
+    r = abs(rho)
+    return r * math.sqrt(nu / ((1.0 - r) * (1.0 + r)))
+
+
+class TestTTestP:
+    """``_t_test_p`` against closed forms and against scipy's Student t."""
+
+    RHOS = np.concatenate([np.geomspace(1e-9, 0.5, 400), 1.0 - np.geomspace(1e-13, 0.5, 400)])
+
+    def test_one_degree_of_freedom_closed_form(self):
+        # nu = 1: p = (2/pi) atan(1/|t|), with 1/|t| = sqrt(1 - rho^2)/|rho|: (2/pi) acos|rho|
+        for rho in self.RHOS:
+            expected = 2.0 / math.pi * math.acos(rho)
+            assert _t_test_p(-rho, 3) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_two_degrees_of_freedom_closed_form(self):
+        # nu = 2: p = 1 - |t|/sqrt(2 + t^2), and |t|/sqrt(2 + t^2) = |rho|
+        for rho in self.RHOS:
+            t = exact_t(rho, 2)
+            assert t / math.sqrt(2.0 + t * t) == pytest.approx(rho, rel=1e-15, abs=0.0)
+            assert _t_test_p(rho, 4) == pytest.approx(1.0 - rho, rel=1e-14, abs=0.0)
+
+    def test_matches_student_t_grid(self):
+        from scipy.special import stdtr
+        for nu in range(1, 101):
+            for t in np.geomspace(1e-4, 1e3, 60):
+                rho = t / math.sqrt(nu + t * t)
+                expected = 2.0 * float(stdtr(nu, -exact_t(rho, nu)))
+                assert _t_test_p(rho, nu + 2) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+    def test_near_one_for_tiny_t(self):
+        # scipy's stdtr at nu = 1 is off by 3e-9 at |t| = 1e-8; the closed-form test covers nu = 1
+        from scipy.special import stdtr
+        for nu in range(2, 101):
+            for t in (3e-9, 1e-8, 3e-8):
+                rho = t / math.sqrt(nu + t * t)
+                expected = 2.0 * float(stdtr(nu, -exact_t(rho, nu)))
+                assert _t_test_p(rho, nu + 2) == pytest.approx(expected, abs=1e-15)
+
+    def test_perfect_correlation_has_zero_p(self):
+        for n in (3, 4, 30):
+            assert _t_test_p(1.0, n) == 0.0 and _t_test_p(-1.0, n) == 0.0
 
 
 class TestAffineRegression:
