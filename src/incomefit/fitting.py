@@ -64,8 +64,6 @@ class FitResult:
     rmsle_pareto: float
     n_pareto: int
     crossover_clamped: bool
-    seed: int | np.random.SeedSequence
-    settings: FitSettings
     trace: list[float]
     trace_points: list[np.ndarray]
 
@@ -133,8 +131,6 @@ def fit_sample(sample: IncomeSample, settings: FitSettings = FitSettings(),
         rmsle_pareto=rmsle_par,
         n_pareto=n_par,
         crossover_clamped=point.p < context.min_fraction,
-        seed=seed,
-        settings=settings,
         trace=result.trace,
         trace_points=result.trace_points,
     )

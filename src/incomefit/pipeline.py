@@ -58,11 +58,9 @@ class DatasetSpec:
 @dataclass(eq=False)
 class IngestResult:
     sample: IncomeSample
-    strata: dict[str, IncomeSample]
+    strata: dict[str, np.ndarray]       # category -> its used incomes, in category order
     n_rows: int
-    n_used: int
     dropped: dict[str, int]
-    skipped_strata: dict[str, int]      # category -> incomes, for categories under 2
 
 
 @contextmanager
@@ -245,32 +243,27 @@ def ingest(spec: DatasetSpec) -> IngestResult:
     rows, missing, unparseable, non-finite (``inf``, ``nan``, overflowing
     literals such as ``1e400``) and non-positive incomes are dropped with
     per-reason counts. Retained incomes keep their source values
-    exactly. Strata with fewer than 2 incomes are left out and recorded
-    in ``skipped_strata``. Blank lines are skipped without counting, a
-    row too short to hold a used column reads ``None`` there, a leading
-    UTF-8 byte-order mark is ignored, and a header naming a used column
-    twice is rejected. A clean file is split with numpy; any other is
-    read again as text, row by row with ``csv.reader``, which goes faster
-    over a file than over the bytes already read. Both give the same
-    result.
+    exactly. With a stratify column, ``strata`` holds the used incomes
+    of every category, however few: callers decide which to fit. Blank
+    lines are skipped without counting, a row too short to hold a used
+    column reads ``None`` there, a leading UTF-8 byte-order mark is
+    ignored, and a header naming a used column twice is rejected. A
+    clean file is split with numpy; any other is read again as text, row
+    by row with ``csv.reader``, which goes faster over a file than over
+    the bytes already read. Both give the same result.
     """
     n_rows, dropped, incomes, labels = _split_clean(spec) or _read_rows(spec)
     if len(incomes) < 2:
         raise ValueError(f"no usable incomes in {spec.path} "
                          f"(rows read: {n_rows}, dropped: {dropped})")
-    sample = IncomeSample(incomes)
-    strata: dict[str, IncomeSample] = {}
-    skipped: dict[str, int] = {}
+    strata: dict[str, np.ndarray] = {}
     if spec.stratify_by:
+        # codes, not a numpy str array: that drops trailing NULs, merging "a" and "a\0"
+        codes = {category: i for i, category in enumerate(sorted(set(labels)))}
+        code = np.fromiter(map(codes.__getitem__, labels), np.intp, len(labels))
         arr = np.asarray(incomes)
-        lab = np.asarray(labels)
-        for category in sorted(set(labels)):
-            vals = arr[lab == category]
-            if vals.size >= 2:
-                strata[category] = IncomeSample(vals)
-            else:
-                skipped[category] = int(vals.size)
-    return IngestResult(sample, strata, n_rows, len(incomes), dropped, skipped)
+        strata = {category: arr[code == i] for category, i in codes.items()}
+    return IngestResult(IncomeSample(incomes), strata, n_rows, dropped)
 
 
 def _fmt(value) -> str:
@@ -325,12 +318,12 @@ def _dataset_items(spec: DatasetSpec, result: IngestResult) -> list[tuple[str, o
         ("filters", filters),
         ("stratify_by", spec.stratify_by or "none"),
         ("rows_read", result.n_rows),
-        ("incomes_used", result.n_used),
+        ("incomes_used", result.sample.n),
     ] + [(f"dropped_{reason}", count) for reason, count in result.dropped.items()]
 
 
 def write_fit_report(path: Path, fit: FitResult, spec: DatasetSpec,
-                     ingested: IngestResult):
+                     ingested: IngestResult, settings: FitSettings, seed: int):
     sections = [
         ("dataset", _dataset_items(spec, ingested)),
         ("parameters", _model_items(fit.params.lam, fit.params.temperature,
@@ -363,14 +356,14 @@ def write_fit_report(path: Path, fit: FitResult, spec: DatasetSpec,
             ("final_best", fit.trace[-1]),
             ("iterations", len(fit.trace) - 2),
         ]),
-        ("config", _settings_items(fit.settings, fit.seed)),
+        ("config", _settings_items(settings, seed)),
     ]
     _write_sections(path, sections)
 
 
-def write_plot_data(out_dir: Path, fit: FitResult, sample: IncomeSample):
-    """Plot-ready files: empirical points, fitted curve, axis markers."""
-    ccdf = build_ccdf(sample, fit.settings.k)
+def write_plot_data(out_dir: Path, fit: FitResult, sample: IncomeSample, k: int):
+    """Plot-ready files: empirical CCDF at ``k`` class points, fitted curve, axis markers."""
+    ccdf = build_ccdf(sample, k)
     points = ccdf.class_points
     fractions = ccdf.evaluate(points)
     _write_csv(out_dir / "ccdf_points.csv", ["income", "fraction"],
@@ -380,7 +373,7 @@ def write_plot_data(out_dir: Path, fit: FitResult, sample: IncomeSample):
     m_c = fit.crossover
     lo = float(sample.ascending[0])
     hi = float(sample.values[0])
-    body = np.geomspace(max(lo, 1e-9), m_c, CURVE_POINTS_PER_BRANCH, endpoint=False)
+    body = np.geomspace(lo, m_c, CURVE_POINTS_PER_BRANCH, endpoint=False)
     tail = np.geomspace(m_c, max(hi, m_c * (1 + 1e-9)), CURVE_POINTS_PER_BRANCH)
     curve = np.concatenate([body, tail])
     branch = ["exponential"] * body.size + ["pareto"] * tail.size
@@ -404,8 +397,8 @@ def cmd_fit(spec: DatasetSpec, out_dir: str | Path,
     out.mkdir(parents=True, exist_ok=True)
     ingested = ingest(spec)
     fit = fit_sample(ingested.sample, settings, seed=seed)
-    write_fit_report(out / "report.txt", fit, spec, ingested)
-    write_plot_data(out, fit, ingested.sample)
+    write_fit_report(out / "report.txt", fit, spec, ingested, settings, seed)
+    write_plot_data(out, fit, ingested.sample, settings.k)
     return fit
 
 
@@ -426,30 +419,30 @@ def cmd_bootstrap(spec: DatasetSpec, n_replicas: int, out_dir: str | Path,
     """Bootstrap validation of the whole sample and of each stratum.
 
     A stratum with fewer than ``MIN_INCOMES`` incomes, too few to leave 2
-    out of bag, is skipped with one printed line, in category order; a
-    category holding a path separator, or strata none of which holds
-    ``MIN_INCOMES`` incomes, are rejected before any fit.
+    out of bag, is skipped with one printed line, in category order.
+    Strata none of which holds ``MIN_INCOMES`` incomes, or a fitted
+    category holding a path separator (it names output files), are
+    rejected before any fit.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ingested = ingest(spec)
-    separators = {"/", os.sep, os.altsep} - {None}
-    for category in ingested.strata:
-        if separators & set(category):
-            raise ValueError(f"--stratify-by category {category!r} holds a path separator")
     groups = [("all", ingested.sample)]
     if spec.stratify_by:
-        sizes = ingested.skipped_strata | {c: s.n for c, s in ingested.strata.items()}
-        if max(sizes.values()) < MIN_INCOMES:
+        fitted = {c: v for c, v in ingested.strata.items() if v.size >= MIN_INCOMES}
+        if not fitted:
+            sizes = {c: v.size for c, v in ingested.strata.items()}
             raise ValueError(f"no --stratify-by category holds at least {MIN_INCOMES} "
-                             f"incomes: {dict(sorted(sizes.items()))}")
-        groups = []
-        for category in sorted(sizes):
-            if sizes[category] >= MIN_INCOMES:
-                groups.append((category, ingested.strata[category]))
-            else:
-                print(f"{category}: skipped, {sizes[category]} income(s), "
+                             f"incomes: {sizes}")
+        separators = {"/", os.sep, os.altsep} - {None}
+        for category in fitted:
+            if separators & set(category):
+                raise ValueError(f"--stratify-by category {category!r} holds a path separator")
+        for category, incomes in ingested.strata.items():
+            if category not in fitted:
+                print(f"{category}: skipped, {incomes.size} income(s), "
                       f"need at least {MIN_INCOMES}")
+        groups = [(c, IncomeSample(v)) for c, v in fitted.items()]
     summaries: dict[str, BootstrapSummary] = {}
     for category, sub in groups:
         summary = summaries[category] = run_validation(sub, n_replicas, settings, seed=seed)

@@ -171,8 +171,10 @@ def _t_test_p(rho: float, n: int) -> float:
     x = nu / (nu + t^2) = (1 - rho)(1 + rho), and 1 - x = rho^2. Each is
     formed from rho on its own: 1 - x by subtraction loses every digit
     when rho is near 0, and x as 1 - rho^2 loses up to 1e-9 relative when
-    rho is near 1. Where x > (a + 1) / (a + b + 2) the symmetry
-    I_x(a, b) = 1 - I_{1-x}(b, a) keeps the continued fraction short.
+    rho is near 1; but log x, which the prefactor multiplies by nu/2, is
+    ``log1p(-rho^2)`` where rho^2 < 1/2. The symmetry I_x(a, b) = 1 - I_{1-x}(b, a),
+    with the same prefactor, keeps the fraction short where x > (a + 1) / (a + b + 2)
+    and, from a = 20 on, takes t^2 < 6, where the fraction in x loses digits as a grows.
     """
     r = abs(rho)
     if r >= 1.0:
@@ -181,13 +183,21 @@ def _t_test_p(rho: float, n: int) -> float:
     if y == 0.0:
         return 1.0
     a, b, x = (n - 2) / 2.0, 0.5, (1.0 - r) * (1.0 + r)
-    flip = x > (a + 1.0) / (a + b + 2.0)
+    # ln Gamma(a + 1/2) - ln Gamma(a): the two lgamma values cancel as a grows
+    # (5e-10 lost at a = 5e5), so from a = 20 on the asymptotic series takes over
+    if a < 20.0:
+        log_front = math.lgamma(a + b) - math.lgamma(a)
+        flip = x > (a + 1.0) / (a + b + 2.0)
+    else:
+        w = 1.0 / (a * a)
+        log_front = 0.5 * math.log(a) - (
+            1 / 8 - w * (1 / 192 - w * (1 / 640 - w * 17 / 14336))) / a
+        flip = a * y < 3.0
+    log_x = math.log1p(-y) if y < 0.5 else math.log(x)
+    front = math.exp(log_front + a * log_x + b * math.log(y) - math.lgamma(b))
     if flip:
-        a, b, x, y = b, a, y, x
-    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                 + a * math.log(x) + b * math.log(y))
-    beta = math.exp(log_front) * _beta_fraction(a, b, x) / a
-    return 1.0 - beta if flip else beta
+        return 1.0 - front * _beta_fraction(b, a, y) / b
+    return front * _beta_fraction(a, b, x) / a
 
 
 def pearson(xs, ys, n_boot: int = 1000, seed: int = 0) -> PearsonResult:

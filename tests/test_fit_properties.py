@@ -33,6 +33,7 @@ incomes = st.lists(st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_in
 @given(values=incomes)
 @example(values=[8.988465674311579e+307, 8.98846567431158e+307, 5.0])   # the total overflows
 @example(values=[2.2250738585e-313, 5e-324])   # subnormal incomes and temperatures
+@example(values=[1e-323, 5e-324])   # incomes under 1e-9: the model curve starts at the least
 def test_any_positive_sample_fits_or_names_its_error(values, capsys):
     try:
         fit_sample(IncomeSample(values), TINY, seed=1)

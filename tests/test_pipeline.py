@@ -91,8 +91,8 @@ class TestIngest:
         write_csv(path, ["income,g", "10,a", "20,a", "30,b", "40,b", "50,b"])
         result = ingest(DatasetSpec(str(path), "income", stratify_by="g"))
         assert set(result.strata) == {"a", "b"}
-        assert result.strata["a"].n == 2
-        assert result.strata["b"].n == 3
+        assert result.strata["a"].size == 2
+        assert result.strata["b"].size == 3
 
     def test_values_kept_exactly(self, tmp_path):
         path = tmp_path / "exact.csv"
@@ -762,6 +762,21 @@ class TestCli:
         assert not (out_dir / "summary_c.txt").exists()
         assert not (out_dir / "replicas_c.csv").exists()
 
+    def test_small_category_with_path_separator_skipped(self, tmp_path, capsys):
+        # only a fitted category names files, so a skipped one may hold a separator
+        rng = np.random.default_rng(12)
+        data = tmp_path / "strata.csv"
+        write_csv(data, ["income,g", "500,a/b", "700,a/b",
+                         *(f"{v},c" for v in rng.exponential(900.0, 300) + 1.0)])
+        out_dir = tmp_path / "strata_out"
+        code = main(["bootstrap", str(data), "--stratify-by", "g", "-R", "2",
+                     "--out-dir", str(out_dir), "--k", "100", "--n-candidates", "6",
+                     "--max-iters", "5", "--refine-every", "0"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "a/b: skipped, 2 income(s), need at least 3", "c: effective replicas 2/2"]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["replicas_c.csv", "summary_c.txt"]
+
     def test_skip_lines_in_category_order(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
         data = tmp_path / "strata.csv"
@@ -787,6 +802,17 @@ class TestCli:
         assert err.startswith("error:")
         assert "no --stratify-by category holds at least 3 incomes" in err
         assert list(out_dir.iterdir()) == []
+
+    def test_size_error_before_separator_check(self, tmp_path, capsys):
+        # no category is fitted, so the 2-income "a/b" names no file
+        data = tmp_path / "strata.csv"
+        write_csv(data, ["income,g", "100,a", "200,a/b", "300,a/b", "400,c"])
+        code = main(["bootstrap", str(data), "--stratify-by", "g", "-R", "2",
+                     "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "no --stratify-by category holds at least 3 incomes" in err
+        assert "{'a': 1, 'a/b': 2, 'c': 1}" in err
 
     def test_two_income_sample_rejected(self, tmp_path, capsys, caplog):
         data = tmp_path / "two.csv"

@@ -161,7 +161,7 @@ def exact_t(rho: float, nu: int) -> float:
 
 
 class TestTTestP:
-    """``_t_test_p`` against closed forms and against scipy's Student t."""
+    """``_t_test_p`` against closed forms, scipy's Student t and mpmath values."""
 
     RHOS = np.concatenate([np.geomspace(1e-9, 0.5, 400), 1.0 - np.geomspace(1e-13, 0.5, 400)])
 
@@ -198,6 +198,43 @@ class TestTTestP:
     def test_perfect_correlation_has_zero_p(self):
         for n in (3, 4, 30):
             assert _t_test_p(1.0, n) == 0.0 and _t_test_p(-1.0, n) == 0.0
+
+    LONG_TS = (1e-3, 0.01, 0.1, 0.5, 1.0, 1.5, 2.0, 2.03, 2.5, 3.0, 5.0, 10.0)
+    # p at rho = t / math.sqrt(nu + t * t) for each t of LONG_TS, from mpmath at
+    # mp.dps = 40: float(mpmath.betainc(mpf(nu) / 2, 0.5, 0, 1 - mpf(rho) ** 2,
+    # regularized=True))
+    LONG_REFERENCE = {
+        39: (0.9992072133047888, 0.9920722672096238, 0.9208566174215234,
+             0.6198846916973788, 0.3234749451713833, 0.1416670429468967,
+             0.05249901534385475, 0.049217392180951884, 0.016733784747197833,
+             0.0046865679403646845, 1.2524174089367222e-05, 2.5589435641754758e-12),
+        40: (0.9992070862860574, 0.9920709969599448, 0.9208438530452802,
+             0.6198147352334481, 0.32332181174829083, 0.1414667768791481,
+             0.05232234321504921, 0.049043924602333686, 0.016620352830979217,
+             0.00463013978415614, 1.1840065669659482e-05, 1.9313117004115587e-12),
+        1000: (0.9992023150184527, 0.9920232819321873, 0.9203643690236041,
+               0.6171850808338748, 0.31755241808467227, 0.13393003882208612,
+               0.04577034649325166, 0.04262085187445335, 0.0125785678010908,
+               0.00276670904423819, 6.767256364648623e-07, 1.667070295860034e-22),
+        10_000: (0.9992021355190525, 0.9920214868493558, 0.9203463300310749,
+                 0.6170860793232334, 0.31733470433042915, 0.13364597182361965,
+                 0.04552726066143543, 0.04238295754282417, 0.012435219550583704,
+                 0.0027064481899976645, 5.830326613662652e-07, 1.9632807428663795e-23),
+        1_000_000: (0.9992021157716491, 0.9920212893655477, 0.9203443454920431,
+                    0.6170751874723713, 0.31731074983357815, 0.13361471823679277,
+                    0.04550053385131921, 0.04235680345356849, 0.012419489502163253,
+                    0.0026998625414217966, 5.733997870890734e-07, 1.5278610768178274e-23),
+    }
+
+    @pytest.mark.parametrize("nu", sorted(LONG_REFERENCE))
+    def test_long_series_match_mpmath(self, nu):
+        # nu = 39 and 40 sit either side of the switch to the asymptotic gamma ratio and
+        # to the wider symmetry rule (t = 2.03 at nu = 1e4 was 1.1e-12 off without it); at
+        # nu = 1e6 the fraction in x still loses 7.8e-11 near t = 2.7 on a dense grid
+        bound = 1e-12 if nu <= 10_000 else 1e-10
+        for t, expected in zip(self.LONG_TS, self.LONG_REFERENCE[nu]):
+            rho = t / math.sqrt(nu + t * t)
+            assert _t_test_p(rho, nu + 2) == pytest.approx(expected, rel=bound, abs=0.0)
 
 
 class TestAffineRegression:
