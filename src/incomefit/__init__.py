@@ -13,7 +13,6 @@ from .model import (
     TwoClassParams,
     crossover_income,
     draw_incomes,
-    gini_expansion,
     model_ccdf,
     model_mean,
     sample_incomes,

@@ -172,9 +172,9 @@ def main(argv=None) -> int:
                     raise ValueError(f"--year {year} given more than once")
                 specs[year] = DatasetSpec(path=path, income_column=args.income_col,
                                           filters=_parse_filters(args.filter))
-            series = cmd_series(specs, args.deflators, args.reference_year,
-                                args.out_dir, settings, seed)
-            print(f"fitted {len(series.records)} years")
+            records = cmd_series(specs, args.deflators, args.reference_year,
+                                 args.out_dir, settings, seed)
+            print(f"fitted {len(records)} years")
         elif args.command == "synth":
             params = TwoClassParams(args.top_fraction, args.temperature,
                                     args.pareto_index)

@@ -99,21 +99,6 @@ def theoretical_gini(lam: float, alpha: float) -> float:
     return 1.0 - num / den
 
 
-def gini_expansion(lam: float, alpha: float) -> float:
-    """Small-top-fraction expansion of the Gini coefficient.
-
-    0.5 + [ln(1/lam)/(alpha - 1) - 1] * lam/2, accurate to
-    O(lam^2 * ln lam). Returns exactly 0.5 at lam = 0.
-    """
-    if lam < 0.0 or lam >= 1.0:
-        raise ValueError(f"top fraction must be in [0, 1), got {lam}")
-    if alpha <= 1.0:
-        raise ValueError(f"Pareto index must exceed 1, got {alpha}")
-    if lam == 0.0:
-        return 0.5
-    return 0.5 + (math.log(1.0 / lam) / (alpha - 1.0) - 1.0) * lam / 2.0
-
-
 def draw_incomes(params: TwoClassParams, n: int, seed: int) -> np.ndarray:
     """Inverse-transform draws from the model CCDF, unsorted.
 

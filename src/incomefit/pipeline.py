@@ -30,7 +30,6 @@ from .bootstrap import (
 from .fitting import ALPHA_MIN, FitResult, FitSettings, fit_sample
 from .model import TwoClassParams, draw_incomes, model_ccdf
 from .series import (
-    IndicatorSeries,
     YearRecord,
     affine_regression,
     build_series,
@@ -65,11 +64,14 @@ class IngestResult:
 
 @contextmanager
 def _parsing(path, reader):
-    """Yield ``reader``; a csv parser error becomes a ValueError naming the file and line."""
+    """Yield ``reader``; a csv parser error or bad UTF-8 becomes a ValueError naming the file."""
     try:
         yield reader
     except csv.Error as exc:
         raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        # no line: the text layer decodes ahead of the parser, so line_num is not the bad one
+        raise ValueError(f"{path} is not valid UTF-8") from None
 
 
 def _locate_columns(spec: DatasetSpec, header: list[str] | None) -> dict[str, int]:
@@ -273,9 +275,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_sections(path: Path, sections: list[tuple[str, list[tuple[str, object]]]]):
+def _write_sections(path: Path, sections: list[tuple[str, list[tuple[str, object]]]],
+                    settings: FitSettings, seed: int):
+    """Key/value sections, then a ``config`` section echoing the settings and seed."""
     lines = []
-    for title, items in sections:
+    for title, items in [*sections, ("config", _items(settings) + [("seed", seed)])]:
         lines.append(f"[{title}]")
         for key, value in items:
             lines.append(f"{key} = {_fmt(value)}")
@@ -299,10 +303,6 @@ def _write_records(path: Path, cls, records):
 def _items(record) -> list[tuple[str, object]]:
     """A dataclass's (field name, value) pairs, in field order."""
     return [(f.name, getattr(record, f.name)) for f in fields(record)]
-
-
-def _settings_items(settings: FitSettings, seed: int) -> list[tuple[str, object]]:
-    return _items(settings) + [("seed", seed)]
 
 
 def _model_items(lam, temperature, alpha, crossover) -> list[tuple[str, object]]:
@@ -356,9 +356,8 @@ def write_fit_report(path: Path, fit: FitResult, spec: DatasetSpec,
             ("final_best", fit.trace[-1]),
             ("iterations", len(fit.trace) - 2),
         ]),
-        ("config", _settings_items(settings, seed)),
     ]
-    _write_sections(path, sections)
+    _write_sections(path, sections, settings, seed)
 
 
 def write_plot_data(out_dir: Path, fit: FitResult, sample: IncomeSample, k: int):
@@ -402,17 +401,6 @@ def cmd_fit(spec: DatasetSpec, out_dir: str | Path,
     return fit
 
 
-def _summary_sections(summary: BootstrapSummary, settings: FitSettings,
-                      seed: int) -> list[tuple[str, list[tuple[str, object]]]]:
-    sections = [("replicas", [
-        ("requested", summary.n_requested),
-        ("effective", summary.n_effective),
-    ])]
-    sections += [(name, _items(stats)) for name, stats in summary.stats.items()]
-    sections.append(("config", _settings_items(settings, seed)))
-    return sections
-
-
 def cmd_bootstrap(spec: DatasetSpec, n_replicas: int, out_dir: str | Path,
                   settings: FitSettings = FitSettings(),
                   seed: int = 0) -> dict[str, BootstrapSummary]:
@@ -421,7 +409,7 @@ def cmd_bootstrap(spec: DatasetSpec, n_replicas: int, out_dir: str | Path,
     A stratum with fewer than ``MIN_INCOMES`` incomes, too few to leave 2
     out of bag, is skipped with one printed line, in category order.
     Strata none of which holds ``MIN_INCOMES`` incomes, or a fitted
-    category holding a path separator (it names output files), are
+    category holding a path separator or NUL (it names output files), are
     rejected before any fit.
     """
     out = Path(out_dir)
@@ -434,10 +422,11 @@ def cmd_bootstrap(spec: DatasetSpec, n_replicas: int, out_dir: str | Path,
             sizes = {c: v.size for c, v in ingested.strata.items()}
             raise ValueError(f"no --stratify-by category holds at least {MIN_INCOMES} "
                              f"incomes: {sizes}")
-        separators = {"/", os.sep, os.altsep} - {None}
+        unsafe = {"/", os.sep, os.altsep, "\0"} - {None}
         for category in fitted:
-            if separators & set(category):
-                raise ValueError(f"--stratify-by category {category!r} holds a path separator")
+            if unsafe & set(category):
+                raise ValueError(f"--stratify-by category {category!r} holds a path "
+                                 "separator or NUL")
         for category, incomes in ingested.strata.items():
             if category not in fitted:
                 print(f"{category}: skipped, {incomes.size} income(s), "
@@ -447,8 +436,11 @@ def cmd_bootstrap(spec: DatasetSpec, n_replicas: int, out_dir: str | Path,
     for category, sub in groups:
         summary = summaries[category] = run_validation(sub, n_replicas, settings, seed=seed)
         suffix = f"_{category}" if spec.stratify_by else ""
-        _write_sections(out / f"summary{suffix}.txt",
-                        _summary_sections(summary, settings, seed))
+        _write_sections(out / f"summary{suffix}.txt", [
+            ("replicas", [("requested", summary.n_requested),
+                          ("effective", summary.n_effective)]),
+            *[(name, _items(stats)) for name, stats in summary.stats.items()],
+        ], settings, seed)
         _write_records(out / f"replicas{suffix}.csv", ReplicaRecord, summary.replicas)
     return summaries
 
@@ -469,8 +461,7 @@ def cmd_baseline(spec: DatasetSpec, lam0: float, out_dir: str | Path,
         ("fixed_proportion", _model_items(base.top_fraction, base.temperature,
                                           base.pareto_index, base.crossover)
          + [("train_rmsle", base.train_rmsle)]),
-        ("config", _settings_items(settings, seed)),
-    ])
+    ], settings, seed)
     return fit, base
 
 
@@ -509,7 +500,7 @@ def _read_sample(shared: None, spec: DatasetSpec) -> IncomeSample:
 def cmd_series(specs_by_year: dict[int, DatasetSpec], deflator_path: str | Path,
                reference_year: int, out_dir: str | Path,
                settings: FitSettings = FitSettings(),
-               seed: int = 0) -> IndicatorSeries:
+               seed: int = 0) -> list[YearRecord]:
     """Per-year fits, deflation, correlations and regression outputs.
 
     The deflators are checked first. Every year is then read on worker
@@ -525,29 +516,26 @@ def cmd_series(specs_by_year: dict[int, DatasetSpec], deflator_path: str | Path,
     check_deflators(deflators, specs_by_year, reference_year)
     years = sorted(specs_by_year)
     samples = map_in_order(_read_sample, [specs_by_year[year] for year in years], None)
-    series = build_series(dict(zip(years, samples)), deflators, reference_year, settings, seed)
+    records = build_series(dict(zip(years, samples)), deflators, reference_year, settings, seed)
 
-    _write_records(out / "series.csv", YearRecord, series.records)
+    _write_records(out / "series.csv", YearRecord, records)
 
-    lam = series.column("top_fraction")
-    alpha = series.column("pareto_index")
-    g_theo = series.column("gini_theoretical")
-    g_emp = series.column("gini_empirical")
+    lam = [r.top_fraction for r in records]
+    alpha = [r.pareto_index for r in records]
+    g_theo = [r.gini_theoretical for r in records]
+    g_emp = [r.gini_empirical for r in records]
     _write_sections(out / "correlations.txt", [
         ("pareto_index_vs_top_fraction", _items(pearson(lam, alpha, seed=seed))),
         ("empirical_vs_theoretical_gini", _items(pearson(g_theo, g_emp, seed=seed))),
-        ("config", _settings_items(settings, seed)),
-    ])
+    ], settings, seed)
     _write_sections(out / "regression.txt", [
         ("empirical_gini_on_theoretical_gini", _items(affine_regression(g_theo, g_emp))),
-        ("config", _settings_items(settings, seed)),
-    ])
+    ], settings, seed)
 
     _write_csv(out / "gini_pair.csv", ["gini_theoretical", "gini_empirical"],
-               zip(g_theo.tolist(), g_emp.tolist()))
-    _write_csv(out / "tail_pair.csv", ["top_fraction", "pareto_index"],
-               zip(lam.tolist(), alpha.tolist()))
-    return series
+               zip(g_theo, g_emp))
+    _write_csv(out / "tail_pair.csv", ["top_fraction", "pareto_index"], zip(lam, alpha))
+    return records
 
 
 def cmd_synth(params: TwoClassParams, n: int, seed: int, out_path: str | Path) -> Path:

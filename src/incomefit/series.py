@@ -37,19 +37,6 @@ class YearRecord:
     gini_empirical: float
 
 
-@dataclass(eq=False)
-class IndicatorSeries:
-    records: list[YearRecord]
-    reference_year: int
-
-    @property
-    def years(self) -> np.ndarray:
-        return np.array([r.year for r in self.records])
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records], dtype=float)
-
-
 @dataclass(frozen=True)
 class PearsonResult:
     rho: float
@@ -116,8 +103,8 @@ def _year_group(shared: tuple[Mapping[int, IncomeSample], Mapping[int, float], i
 def build_series(samples_by_year: Mapping[int, IncomeSample],
                  deflators: Mapping[int, float], reference_year: int,
                  settings: FitSettings = FitSettings(),
-                 seed: int = 0) -> IndicatorSeries:
-    """Fit every year and deflate to reference-year currency.
+                 seed: int = 0) -> list[YearRecord]:
+    """Fit every year and deflate to reference-year currency, one record a year.
 
     Years are fitted on worker processes in groups of consecutive years,
     as bootstrap fits replicas, and kept in ascending order; year i is
@@ -127,9 +114,8 @@ def build_series(samples_by_year: Mapping[int, IncomeSample],
     years = sorted(samples_by_year)
     check_deflators(deflators, years, reference_year)
     streams = np.random.SeedSequence(seed).spawn(len(years))
-    records = map_groups(_year_group, list(zip(years, streams)),
-                         (samples_by_year, deflators, reference_year, settings))
-    return IndicatorSeries(records, reference_year)
+    return map_groups(_year_group, list(zip(years, streams)),
+                      (samples_by_year, deflators, reference_year, settings))
 
 
 def _rho(a: np.ndarray, b: np.ndarray):
@@ -234,14 +220,11 @@ def pearson(xs, ys, n_boot: int = 1000, seed: int = 0) -> PearsonResult:
 
 
 def affine_regression(xs, ys) -> AffineFit:
-    """Ordinary least squares line with classical standard errors."""
+    """Least squares line, classical standard errors; checks, rho and p-value from ``pearson``."""
+    corr = pearson(xs, ys, n_boot=0)
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("series must be 1-D and of equal length")
-    n = x.size
-    if n < 3:
-        raise ValueError(f"need at least 3 points, got {n}")
+    n = corr.n
     if np.all(x == x[0]):
         raise ValueError("regression is undefined for a constant predictor")
     x_mean, y_mean = x.mean(), y.mean()
@@ -254,10 +237,5 @@ def affine_regression(xs, ys) -> AffineFit:
     residual_se = np.sqrt(rss / (n - 2))
     slope_se = residual_se / np.sqrt(sxx)
     intercept_se = residual_se * np.sqrt(1.0 / n + x_mean ** 2 / sxx)
-    if np.all(y == y[0]):
-        rho, p_value = float("nan"), float("nan")
-    else:
-        rho = float(_rho(x, y))
-        p_value = _t_test_p(rho, n)
     return AffineFit(slope, float(slope_se), intercept, float(intercept_se),
-                     float(residual_se), rho, p_value, n)
+                     float(residual_se), corr.rho, corr.p_value, n)

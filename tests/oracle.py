@@ -5,8 +5,10 @@ a sample and its empirical CCDF: the model density and log CCDF, the
 exponential-body mean, the restricted empirical mean, the search-point
 resolution, the log error and both penalties. None of them reads the
 running sums or lookup tables of ``incomefit.objective``, so a test that
-compares the two compares two separate computations. Nothing in the
-package calls them; pytest does not collect this module.
+compares the two compares two separate computations. The paper's
+small-top-fraction expansion of the Gini coefficient, which the tests
+hold against the closed form, is here too. Nothing in the package calls
+them; pytest does not collect this module.
 """
 
 from __future__ import annotations
@@ -129,3 +131,18 @@ def l2_penalty(lam: float, p: float) -> float:
     if p <= 0.0:
         raise ValueError(f"crossover fraction must be positive, got {p}")
     return abs(lam / p - 1.0)
+
+
+def gini_expansion(lam: float, alpha: float) -> float:
+    """Small-top-fraction expansion of the Gini coefficient.
+
+    0.5 + [ln(1/lam)/(alpha - 1) - 1] * lam/2, accurate to
+    O(lam^2 * ln lam). Returns exactly 0.5 at lam = 0.
+    """
+    if lam < 0.0 or lam >= 1.0:
+        raise ValueError(f"top fraction must be in [0, 1), got {lam}")
+    if alpha <= 1.0:
+        raise ValueError(f"Pareto index must exceed 1, got {alpha}")
+    if lam == 0.0:
+        return 0.5
+    return 0.5 + (math.log(1.0 / lam) / (alpha - 1.0) - 1.0) * lam / 2.0

@@ -11,13 +11,12 @@ from incomefit import (
     crossover_income,
     draw_incomes,
     empirical_gini,
-    gini_expansion,
     model_ccdf,
     model_mean,
     sample_incomes,
     theoretical_gini,
 )
-from oracle import exponential_regime_mean, model_log_ccdf, model_pdf
+from oracle import exponential_regime_mean, gini_expansion, model_log_ccdf, model_pdf
 
 
 def ccdf_square_integral(lam, alpha, temperature):

@@ -393,6 +393,24 @@ class TestCmdBootstrap:
         assert repr(category) in err and "path separator" in err
         assert list(out.iterdir()) == []
 
+    def test_category_with_nul_rejected_before_fitting(self, tmp_path, monkeypatch, capsys):
+        # "a\0b" cannot name a file; before Python 3.11 the csv module rejects the NUL itself
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a replica was fitted before the category was rejected")
+
+        monkeypatch.setattr(pipeline_module, "run_validation", no_fit)
+        path = tmp_path / "strat.csv"
+        write_csv(path, ["income,g"] + [f"{100.0 + i},{g}" for i in range(20)
+                                        for g in ("0first", "a\0b")])
+        out = tmp_path / "out"
+        code = main(["bootstrap", str(path), "--stratify-by", "g", "-R", "2",
+                     "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert not list(out.glob("summary_*"))
+        if sys.version_info >= (3, 11):
+            assert repr("a\0b") in err and "NUL" in err
+
 
 class TestCmdSeries:
     def test_two_year_run(self, tmp_path):
@@ -405,8 +423,8 @@ class TestCmdSeries:
                  for y in (2001, 2002, 2003)}
         out = tmp_path / "series_out"
         series = cmd_series(specs, tmp_path / "defl.csv", 2003, out, QUICK, seed=0)
-        assert [r.year for r in series.records] == [2001, 2002, 2003]
-        rec = series.records[0]
+        assert [r.year for r in series] == [2001, 2002, 2003]
+        rec = series[0]
         assert rec.temperature_deflated == pytest.approx(2.0 * rec.temperature)
         for name in ("series.csv", "correlations.txt", "regression.txt",
                      "gini_pair.csv", "tail_pair.csv"):
@@ -640,6 +658,25 @@ class TestCli:
         assert [row["year"] for row in rows] == ["2001", "2002", "2003"]
         assert float(rows[0]["temperature_deflated"]) == pytest.approx(
             2.0 * float(rows[0]["temperature"]))
+
+    @pytest.mark.parametrize("bad", ["income", "deflators"])
+    def test_invalid_utf8_names_the_file(self, tmp_path, capsys, bad):
+        years = (2001, 2002, 2003)
+        for year in years:
+            cmd_synth(TwoClassParams(0.08, 1500.0, 1.6), 400, year, tmp_path / f"{year}.csv")
+        defl = tmp_path / "defl.csv"
+        defl.write_bytes(b"year,index\n2001,50.0\n2002,75.0\n2003,100.0\n")
+        broken = defl if bad == "deflators" else tmp_path / "2001.csv"
+        broken.write_bytes(broken.read_bytes().replace(b"\n", b"\n\xff", 1))
+        if bad == "income":
+            argv = ["fit", str(broken)]
+        else:
+            argv = ["series", *(f"--year={y}={tmp_path / f'{y}.csv'}" for y in years),
+                    "--deflators", str(defl), "--reference-year", "2003"]
+        code = main([*argv, "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {broken} is not valid UTF-8\n"
 
     @pytest.mark.parametrize("header, flags, named", [
         ("income,income", [], "income"),

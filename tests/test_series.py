@@ -24,8 +24,8 @@ class TestBuildSeries:
     def test_single_reference_year_identity(self):
         sample = sample_incomes(TwoClassParams(0.08, 1500.0, 1.6), 20_000, seed=1)
         series = build_series({2019: sample}, {2019: 5.5}, 2019, QUICK, seed=0)
-        assert len(series.records) == 1
-        rec = series.records[0]
+        assert len(series) == 1
+        rec = series[0]
         assert rec.temperature_deflated == rec.temperature
         assert rec.crossover_deflated == rec.crossover
 
@@ -33,7 +33,7 @@ class TestBuildSeries:
         sample = sample_incomes(TwoClassParams(0.08, 1500.0, 1.6), 20_000, seed=2)
         series = build_series({2000: sample, 2001: sample},
                               {2000: 1.0, 2001: 2.0}, 2001, QUICK, seed=0)
-        early, late = series.records
+        early, late = series
         assert early.temperature_deflated == pytest.approx(2.0 * early.temperature, rel=1e-12)
         assert early.crossover_deflated == pytest.approx(2.0 * early.crossover, rel=1e-12)
         assert late.temperature_deflated == pytest.approx(late.temperature, rel=1e-12)
@@ -43,7 +43,7 @@ class TestBuildSeries:
         s2 = sample_incomes(TwoClassParams(0.08, 1500.0, 1.6), 10_000, seed=4)
         defl = {2005: 1.0, 2010: 1.3, 2002: 0.8}
         series = build_series({2010: s1, 2002: s2, 2005: s1}, defl, 2010, QUICK)
-        assert list(series.years) == [2002, 2005, 2010]
+        assert [r.year for r in series] == [2002, 2005, 2010]
 
     def test_missing_deflator_names_year(self):
         sample = sample_incomes(TwoClassParams(0.08, 1500.0, 1.6), 5_000, seed=5)
@@ -54,8 +54,8 @@ class TestBuildSeries:
         sample = sample_incomes(TwoClassParams(0.08, 1500.0, 1.6), 20_000, seed=6)
         a = build_series({2001: sample}, {2001: 1.0, 2019: 3.0}, 2019, QUICK, seed=0)
         b = build_series({2001: sample}, {2001: 1.0, 2019: 1.0}, 2019, QUICK, seed=0)
-        assert a.records[0].gini_theoretical == b.records[0].gini_theoretical
-        rec = a.records[0]
+        assert a[0].gini_theoretical == b[0].gini_theoretical
+        rec = a[0]
         assert rec.gini_theoretical == pytest.approx(
             theoretical_gini(rec.top_fraction, rec.pareto_index), rel=1e-12)
 
@@ -67,8 +67,8 @@ class TestBuildSeries:
         a = build_series({2001: sample, 2002: sample}, defl, 2001, QUICK, seed=0)
         b = build_series({2001: sample, 2002: sample}, defl, 2001, QUICK, seed=1)
         fitted = ("top_fraction", "temperature", "pareto_index")
-        assert ([getattr(a.records[1], name) for name in fitted]
-                != [getattr(b.records[0], name) for name in fitted])
+        assert ([getattr(a[1], name) for name in fitted]
+                != [getattr(b[0], name) for name in fitted])
 
     def test_recovers_drifting_tail_index(self):
         # five years with the index drifting 1.4 -> 2.0: the recovered
@@ -82,7 +82,7 @@ class TestBuildSeries:
         series = build_series(samples, defl, 2001,
                               FitSettings(k=2000, n_candidates=24, max_iters=80),
                               seed=1)
-        recovered = series.column("pareto_index")
+        recovered = np.array([r.pareto_index for r in series])
         assert recovered[-1] - recovered[0] > 0.4
         assert np.all(np.diff(recovered) > -0.06)
 
@@ -286,3 +286,26 @@ class TestAffineRegression:
     def test_constant_predictor_rejected(self):
         with pytest.raises(ValueError):
             affine_regression([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+
+    def test_rho_and_p_value_are_pearsons(self):
+        rng = np.random.default_rng(5)
+        x = rng.random(11)
+        y = x + 0.5 * rng.random(11)
+        fit, corr = affine_regression(x, y), pearson(x, y, n_boot=0)
+        assert (fit.rho, fit.p_value, fit.n) == (corr.rho, corr.p_value, corr.n)
+
+    def test_constant_response_has_no_correlation(self):
+        fit = affine_regression([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
+        assert fit.slope == 0.0 and fit.intercept == 5.0
+        assert math.isnan(fit.rho) and math.isnan(fit.p_value)
+
+    @pytest.mark.parametrize("xs, ys, message", [
+        ([1.0, 2.0, 3.0], [1.0, 2.0], "series must be 1-D and of equal length"),
+        ([[1.0, 2.0, 3.0]], [[1.0, 2.0, 4.0]], "series must be 1-D and of equal length"),
+        ([1.0, 2.0], [3.0, 5.0], "need at least 3 points, got 2"),
+    ])
+    def test_bad_input_raises_pearsons_errors(self, xs, ys, message):
+        with pytest.raises(ValueError, match=message):
+            pearson(xs, ys)
+        with pytest.raises(ValueError, match=message):
+            affine_regression(xs, ys)

@@ -153,7 +153,7 @@ def year_samples():
 def test_build_series_records_equal(year_samples, at_workers):
     deflators = {year: 90.0 + 3 * i for i, year in enumerate(year_samples)}
     records = [at_workers(n, build_series, year_samples, deflators, 2004, TINY_SETTINGS,
-                          4).records for n in COUNTS]
+                          4) for n in COUNTS]
     assert [r.year for r in records[0]] == [2001, 2002, 2003, 2004]
     assert all(other == records[0] for other in records[1:])
 
@@ -166,7 +166,7 @@ def test_build_series_records_equal_at_any_group_size(year_samples, at_workers, 
         monkeypatch.setattr(_pool, "GROUP_MAX", group_max)
         for n in (1, 2):
             records.append(at_workers(n, build_series, year_samples, deflators, 2004,
-                                      TINY_SETTINGS, 4).records)
+                                      TINY_SETTINGS, 4))
     assert [r.year for r in records[0]] == [2001, 2002, 2003, 2004]
     assert all(other == records[0] for other in records[1:])
 
