@@ -89,7 +89,7 @@ def bootstrap_pair(sample: IncomeSample, seed: int | np.random.SeedSequence
         # the draws index the descending order; reversed, the counts line up with asc
         # (a contiguous copy: np.repeat and the mask below run on it 40% faster)
         counts = np.bincount(rng.integers(0, n, size=n), minlength=n)[::-1].copy()
-        test = asc[counts == 0]
+        test = asc[np.flatnonzero(counts == 0)]     # an index array gathers faster than a mask
         if test.size >= 2:
             return (IncomeSample._from_ascending(np.repeat(asc, counts)),
                     IncomeSample._from_ascending(test))

@@ -9,7 +9,8 @@ import numpy as np
 
 from .ccdf import DEFAULT_CLASS_POINTS, IncomeSample, empirical_gini
 from .model import TwoClassParams, theoretical_gini
-from .objective import P_MAX, FitContext, LossBreakdown, SearchPoint, stacked_objective
+from .objective import (P_MAX, SENTINEL_LOSS, FitContext, LossBreakdown, SearchPoint,
+                        stacked_objective)
 from .swarm import OptimizeResult, drive, search
 
 
@@ -17,6 +18,12 @@ from .swarm import OptimizeResult, drive, search
 # needs alpha > 1, and T lies near the sample mean.
 ALPHA_MIN = 1.0
 T_SCALES = (0.5, 2.0)
+
+# The ridge scan that seeds each swarm: RIDGE_POINTS fractions evenly spaced
+# over [RIDGE_P_MIN, P_MAX], then as many within two of their spacings of the
+# best. Each pass is one loss call of RIDGE_POINTS rows.
+RIDGE_P_MIN = 1e-4
+RIDGE_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -72,16 +79,43 @@ class FitError(ValueError):
     """Fit could not produce a non-degenerate model for the sample."""
 
 
+def ridge_seed(context: FitContext, box: np.ndarray) -> np.ndarray | None:
+    """Best point of a coarse-to-fine scan of ``context.ridge`` in the (3, 2) ``box``.
+
+    The loss is rugged in p at the scale of one sample income, so a swarm
+    started at random often settles in the wrong basin; the scan puts one
+    particle in the best one it sees (Clauset, Shalizi and Newman's scan
+    over every candidate crossover, with alpha profiled out). None when
+    every scanned point is degenerate.
+    """
+    def best(p):
+        rows = context.ridge(p, box)
+        values = stacked_objective([context], [rows])
+        i = int(np.argmin(values))
+        return rows[i], float(values[i])
+
+    x, value = best(np.linspace(RIDGE_P_MIN, P_MAX, RIDGE_POINTS))
+    reach = 2.0 * (P_MAX - RIDGE_P_MIN) / (RIDGE_POINTS - 1)
+    fine_x, fine_value = best(np.linspace(max(x[0] - reach, RIDGE_P_MIN),
+                                          min(x[0] + reach, P_MAX), RIDGE_POINTS))
+    if fine_value < value:
+        x, value = fine_x, fine_value
+    return x if value < SENTINEL_LOSS else None
+
+
 def fit_group(contexts: list[FitContext], settings: FitSettings,
               seeds: list[int | np.random.SeedSequence]) -> list[OptimizeResult]:
     """Swarm search of each context on its own seed, all advanced together.
 
+    Each swarm starts with one particle at the context's ``ridge_seed``.
     Each round scores the rows of every unfinished search in one stacked
     loss call, so a group of fits shares the fixed cost of a call; each
     result equals that of the context's search alone.
     """
-    searches = [search(settings.search_box(context.mean), settings, seed)
-                for context, seed in zip(contexts, seeds)]
+    searches = []
+    for context, seed in zip(contexts, seeds):
+        box = settings.search_box(context.mean)
+        searches.append(search(box, settings, seed, start=ridge_seed(context, box)))
     return drive(searches, lambda live, blocks: stacked_objective(
         [contexts[i] for i in live], blocks))
 

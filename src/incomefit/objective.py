@@ -122,17 +122,18 @@ class ClassResiduals:
             (sq_body, split), (sq_tail, n_tail), (sq_body + sq_tail, split + n_tail)))
         return body, split, tail, n_tail, whole
 
-    def tail_slope(self, crossover: float, log_lam: float) -> float:
+    def tail_slope(self, crossover, log_lam):
         """Pareto index of least tail log error over the fit points above ``crossover``.
 
         With the tail pinned at ``log_lam``, residuals r + alpha*g (r = y - log_lam,
         g = log(m/crossover)) are linear in alpha: least squares at -(r.g)/(g.g).
+        Takes scalars or equal-shaped arrays, one slope per element.
         """
-        above = int(np.searchsorted(self.fit_points, crossover, side="right"))
+        above = np.searchsorted(self.fit_points, crossover, side="right")
         _, _, _, n, w, v, wv, vv, _ = self._sums[:, above]
         c = self._means[0] - log_lam
-        d = self._means[1] - math.log(crossover)
-        return float(-(wv + d * w + c * (v + n * d)) / (vv + d * (2.0 * v + n * d)))
+        d = self._means[1] - np.log(crossover)
+        return -(wv + d * w + c * (v + n * d)) / (vv + d * (2.0 * v + n * d))
 
 
 def _squared_errors(sums, means, inv_t, log_lam, alpha, m_c):
@@ -194,6 +195,23 @@ class FitContext(ClassResiduals):
         self._sums.take(self.fit_points.searchsorted(m_c, side="left"), axis=1, out=out[3:12])
         out[12:] = self._constants[:, None]
         return out
+
+    def ridge(self, p: np.ndarray, box: np.ndarray) -> np.ndarray:
+        """The (n, 3) search points on the ridge lam = p at fractions ``p``, within ``box``.
+
+        The crossover m_c is the inverse CCDF at p, T = m_c/ln(1/p) makes
+        lam = exp(-m_c/T) equal p, and alpha is the tail slope at m_c's
+        split: for that (p, T) the tail error is a parabola in alpha, so
+        the clipped slope is the least loss the (3, 2) ``box`` allows. T
+        is clipped first, which moves lam off p, and alpha is fitted to
+        the lam the loss then reads. A point with no slope gets alpha nan,
+        which scores the sentinel.
+        """
+        m_c = np.interp(p, self._fr_asc, self._inc_by_fr)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            temperature = np.clip(m_c / -np.log(p), *box[2])
+            alpha = np.clip(self.tail_slope(m_c, -(m_c / temperature)), *box[1])
+        return np.column_stack([p, alpha, temperature])
 
     def loss_at(self, p: float, alpha: float, temperature: float) -> LossBreakdown:
         """The loss breakdown at one point; sentinel on degenerate configurations."""

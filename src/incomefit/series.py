@@ -194,7 +194,7 @@ def pearson(xs, ys, n_boot: int = 1000, seed: int = 0) -> PearsonResult:
     I_{1-rho^2}((n-2)/2, 1/2); the uncertainty is the standard deviation
     of rho over paired resamples of the observations. A constant series
     has no correlation: rho, its spread and the p-value are then nan, as
-    in ``affine_regression`` for a constant response.
+    in ``affine_regression``.
     """
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
@@ -220,13 +220,18 @@ def pearson(xs, ys, n_boot: int = 1000, seed: int = 0) -> PearsonResult:
 
 
 def affine_regression(xs, ys) -> AffineFit:
-    """Least squares line, classical standard errors; checks, rho and p-value from ``pearson``."""
+    """Least squares line, classical standard errors; checks, rho and p-value from ``pearson``.
+
+    A constant predictor determines no line: every field but n is then
+    nan, as ``pearson`` gives for a constant series.
+    """
     corr = pearson(xs, ys, n_boot=0)
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     n = corr.n
     if np.all(x == x[0]):
-        raise ValueError("regression is undefined for a constant predictor")
+        nan = float("nan")
+        return AffineFit(nan, nan, nan, nan, nan, nan, nan, n)
     x_mean, y_mean = x.mean(), y.mean()
     sxx = float(np.sum((x - x_mean) ** 2))
     sxy = float(np.sum((x - x_mean) * (y - y_mean)))

@@ -123,16 +123,22 @@ def drive(searches: list, evaluate) -> list:
     return results
 
 
-def initialize(bounds: np.ndarray, n: int, seed: int | np.random.SeedSequence
-               ) -> Generator[np.ndarray, np.ndarray, SwarmState]:
-    """Seeded uniform start of n candidates in the (d, 2) box, with half-difference velocities."""
+def initialize(bounds: np.ndarray, n: int, seed: int | np.random.SeedSequence,
+               start: np.ndarray | None = None) -> Generator[np.ndarray, np.ndarray, SwarmState]:
+    """Seeded uniform start of n candidates in the (d, 2) box, with half-difference velocities.
+
+    A ``start`` point in the box replaces candidate 0 after every random
+    draw, so the generator draws the same numbers with or without it.
+    """
     rng = np.random.default_rng(seed)
     lo, hi = bounds[:, 0], bounds[:, 1]
     d = bounds.shape[0]
     positions = lo + (hi - lo) * rng.random((n, d))
     second = lo + (hi - lo) * rng.random((n, d))
-    velocities = (second - positions) / 2.0
     informants = _draw_informants(rng, n, K_INFORMANTS)
+    if start is not None:
+        positions[0] = start
+    velocities = (second - positions) / 2.0
     values = yield positions
     best_idx = int(np.argmin(values))
     return SwarmState(
@@ -306,10 +312,13 @@ def refine(point, bounds,
     return best_x, best_f
 
 
-def search(bounds: np.ndarray, settings, seed: int | np.random.SeedSequence
-           ) -> Generator[np.ndarray, np.ndarray, OptimizeResult]:
-    """Run the hybrid schedule of a ``FitSettings`` over a (d, 2) box to its best point."""
-    state = yield from initialize(bounds, settings.n_candidates, seed)
+def search(bounds: np.ndarray, settings, seed: int | np.random.SeedSequence,
+           start: np.ndarray | None = None) -> Generator[np.ndarray, np.ndarray, OptimizeResult]:
+    """Run the hybrid schedule of a ``FitSettings`` over a (d, 2) box to its best point.
+
+    ``start``, when given, is one of the initial swarm's candidates.
+    """
+    state = yield from initialize(bounds, settings.n_candidates, seed, start)
     best_x, best_value = state.best_x.copy(), state.best_value
     trace = [best_value]
     trace_points = [best_x.copy()]

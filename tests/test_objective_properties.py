@@ -4,7 +4,8 @@ The stacked evaluator scores each context's rows exactly as that context
 alone does and as ``loss_at`` does row by row, every context scores
 p > P_MAX as the sentinel, and inside the search box the batched loss
 agrees with the reference composition of ``resolve_params``, ``rmsle``
-and the two penalties on the sample's own CCDF.
+and the two penalties on the sample's own CCDF. On the ridge that seeds
+each swarm, alpha is the clipped tail slope, which no other alpha beats.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from incomefit import (  # noqa: E402
     FitContext,
+    FitSettings,
     SENTINEL_LOSS,
     SearchPoint,
     TwoClassParams,
@@ -126,3 +128,38 @@ def test_batch_agrees_with_reference_composition(data):
     sample, k = data.draw(cases())
     X = data.draw(points(FitContext(sample, k), p_range=(np.nextafter(0.0, 1.0), P_MAX)))
     assert_matches_reference(sample, k, X)
+
+
+def ridge_case(data, max_size):
+    """A context, its default search box and the ridge points at drawn fractions."""
+    context = data.draw(contexts())
+    box = FitSettings().search_box(context.mean)
+    p = np.array(data.draw(st.lists(st.floats(1e-4, P_MAX), min_size=1, max_size=max_size)))
+    return context, box, context.ridge(p, box)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ridge_alpha_is_the_clipped_tail_slope(data):
+    context, box, rows = ridge_case(data, 24)
+    for p, alpha, temperature in rows:
+        m_c = context.loss_at(p, alpha, temperature).crossover
+        if m_c is None:         # degenerate: no income below m_c, or no tail slope
+            continue
+        assert temperature == np.clip(m_c / -np.log(p), *box[2])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = context.tail_slope(m_c, -(m_c / temperature))
+        assert alpha == np.clip(slope, *box[1])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_no_alpha_on_a_dense_grid_beats_the_ridge_alpha(data):
+    context, box, rows = ridge_case(data, 6)
+    grid = np.linspace(*box[1], 2001)
+    for x, value in zip(rows, stacked_objective([context], [rows])):
+        if value == SENTINEL_LOSS or x[1] in box[1]:     # degenerate, or alpha clipped
+            continue
+        X = np.tile(x, (grid.size, 1))
+        X[:, 1] = grid
+        assert stacked_objective([context], [X]).min() >= value * (1.0 - 1e-9)
