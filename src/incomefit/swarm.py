@@ -10,7 +10,9 @@ endpoints over the iteration budget.
 
 The hybrid layer periodically polishes the incumbent best with bounded
 BFGS steps in box-scaled coordinates, driven by central finite-difference
-gradients; refinement never returns a worse point than its input.
+gradients; refinement never returns a worse point than its input. A
+polish that would start where the search's previous polish started is
+skipped, since it would return the same point.
 
 An objective maps an (n, d) array of points to n values, so a whole
 population, or one refinement point with all probes of its gradient,
@@ -193,11 +195,6 @@ def step(state: SwarmState, bounds: np.ndarray,
     return state
 
 
-def _clip(v: float, lo: float, hi: float) -> float:
-    """``np.clip`` of one float."""
-    return lo if v < lo else hi if v > hi else v
-
-
 def refine(point, bounds,
            max_steps: int) -> Generator[np.ndarray, np.ndarray, tuple[np.ndarray, float]]:
     """Bounded quasi-Newton polish from ``point``; never returns a worse point.
@@ -214,20 +211,17 @@ def refine(point, bounds,
     accepted steps, on a relative decrease of at most ``RELATIVE_DECREASE``,
     on a projected gradient of at most ``PROJECTED_GRADIENT``, or when no
     trial step is accepted.
-
-    Elementwise work on the d-vectors runs in Python floats, which round
-    as numpy's elementwise operations do; every reduction stays a numpy
-    call, whose summation order Python's would not match.
     """
     bounds = np.asarray(bounds, dtype=float)
-    lo, hi = bounds[:, 0].tolist(), bounds[:, 1].tolist()
-    width = (bounds[:, 1] - bounds[:, 0]).tolist()
-    box = list(zip(lo, hi, width))
-    x = [_clip(v, a, b) for v, (a, b, _) in zip(np.asarray(point, dtype=float).tolist(), box)]
-    f0 = float((yield np.array([x]))[0])
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    width = hi - lo
+    d = len(bounds)
+    x = np.clip(np.asarray(point, dtype=float), lo, hi)
+    f0 = float((yield x[None, :])[0])
     if not math.isfinite(f0):
         return np.asarray(point, dtype=float).copy(), f0
-    best_x, best_f = np.array(x), f0
+    best_x, best_f = x.copy(), f0
+    probed = np.arange(d)
 
     def value_and_gradient(x):
         """Value and box-scaled gradient at ``x``, non-finite values as 1e300.
@@ -235,54 +229,38 @@ def refine(point, bounds,
         Keeps the best finite row seen.
         """
         nonlocal best_x, best_f
-        rows, probes = [x], []                      # rows x, x+h0, x-h0, x+h1, ...
-        for j, (v, (a, b, w)) in enumerate(zip(x, box)):
-            h = 1e-6 * max(abs(v), 1e-3 * w)
-            up, down = min(v + h, b), max(v - h, a)
-            probes.append((up, down, w))
-            for probe in (up, down):
-                row = x.copy()
-                row[j] = probe
-                rows.append(row)
-        rows = np.array(rows)
-        values = (yield rows).tolist()
-        finite = [v for v in values if math.isfinite(v)]
-        if finite:
-            low = min(finite)
-            if low < best_f:
-                best_f, best_x = low, rows[values.index(low)].copy()  # first of equal minima
-        if len(finite) < len(values):
-            values = [v if math.isfinite(v) else 1e300 for v in values]
-        gradient = [((values[2 * j + 1] - values[2 * j + 2]) / (up - down) if up != down
-                     else 0.0) * w for j, (up, down, w) in enumerate(probes)]
-        return values[0], gradient
+        h = 1e-6 * np.maximum(np.abs(x), 1e-3 * width)
+        up, down = np.minimum(x + h, hi), np.maximum(x - h, lo)
+        rows = np.tile(x, (2 * d + 1, 1))          # rows x, x+h0, x-h0, x+h1, ...
+        rows[2 * probed + 1, probed] = up
+        rows[2 * probed + 2, probed] = down
+        values = yield rows
+        finite = np.isfinite(values)
+        i = int(np.argmin(np.where(finite, values, np.inf)))   # first of equal minima
+        if finite[i] and values[i] < best_f:
+            best_f, best_x = float(values[i]), rows[i].copy()
+        values = np.where(finite, values, 1e300)
+        gap = up - down                             # 0 where a probe pair collapses
+        slopes = np.divide(values[1::2] - values[2::2], gap, out=np.zeros(d), where=gap != 0.0)
+        return float(values[0]), slopes * width
 
     f, g = yield from value_and_gradient(x)
-    g_vec = np.array(g)
-    H = np.eye(len(x))
+    H = np.eye(d)
     updated = False
     for _ in range(int(max_steps)):
-        u = [(v - a) / w for v, (a, _, w) in zip(x, box)]
-        if all(abs(_clip(ui - gi, 0.0, 1.0) - ui) <= PROJECTED_GRADIENT
-               for ui, gi in zip(u, g)):
+        u = (x - lo) / width
+        if np.all(np.abs(np.clip(u - g, 0.0, 1.0) - u) <= PROJECTED_GRADIENT):
             break
-        free = [not ((ui <= 0.0 and gi > 0.0) or (ui >= 1.0 and gi < 0.0))
-                for ui, gi in zip(u, g)]
-        if all(free):                               # the product below, without the copies
-            direction = -H @ g_vec
-        else:
-            free = np.array(free)
-            direction = np.zeros(len(x))
-            direction[free] = -H[np.ix_(free, free)] @ g_vec[free]
+        free = ~(((u <= 0.0) & (g > 0.0)) | ((u >= 1.0) & (g < 0.0)))
+        direction = np.zeros(d)
+        direction[free] = -H[np.ix_(free, free)] @ g[free]
         t = 1.0 if updated else float(min(1.0, 1.0 / np.linalg.norm(direction)))
-        direction = direction.tolist()
-        if not all(map(math.isfinite, direction)):
+        if not np.all(np.isfinite(direction)):
             break
         for _ in range(MAX_TRIALS):
-            x_new = [_clip(v + t * e * w, a, b) for v, e, (a, b, w) in zip(x, direction, box)]
-            s = [(vn - v) / w for vn, v, (_, _, w) in zip(x_new, x, box)]
-            s_vec = np.array(s)
-            slope = float(g_vec @ s_vec)
+            x_new = np.clip(x + t * direction * width, lo, hi)
+            s = (x_new - x) / width
+            slope = float(g @ s)
             f_new, g_new = yield from value_and_gradient(x_new)
             if f_new <= f + C_ARMIJO * slope:
                 break
@@ -291,22 +269,18 @@ def refine(point, bounds,
             t *= min(max(shrink, 0.1), 0.5)
         else:
             break
-        y = np.array([b - a for a, b in zip(g, g_new)])
-        sy = float(s_vec @ y)
+        y = g_new - g
+        sy = float(s @ y)
         if sy > 0.0:
             if not updated:
-                H = np.eye(len(x)) * (sy / float(y @ y))
+                H = np.eye(d) * (sy / float(y @ y))
                 updated = True
             rho = 1.0 / sy
             Hy = H @ y
             c = rho * rho * float(y @ Hy) + rho
-            Hy = Hy.tolist()
-            # c * outer(s, s) - rho * (outer(Hy, s) + outer(s, Hy)), element by element
-            H += np.array([[c * (si * sj) - rho * (hi * sj + si * hj) for sj, hj in zip(s, Hy)]
-                           for si, hi in zip(s, Hy)])
+            H += c * np.outer(s, s) - rho * (np.outer(Hy, s) + np.outer(s, Hy))
         decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
-        g_vec = np.array(g)
         if decrease <= RELATIVE_DECREASE:
             break
     return best_x, best_f
@@ -322,20 +296,26 @@ def search(bounds: np.ndarray, settings, seed: int | np.random.SeedSequence,
     best_x, best_value = state.best_x.copy(), state.best_value
     trace = [best_value]
     trace_points = [best_x.copy()]
+    # best_x is rebound only when it improves, so while it is the array the last
+    # polish started from, that polish found nothing better; the polish draws no
+    # random numbers, so a rerun would return the same point and is skipped
+    polished = None
     for t in range(1, settings.max_iters + 1):
         yield from step(state, bounds, settings.max_iters)
         if state.best_value < best_value:
             best_value = state.best_value
             best_x = state.best_x.copy()
-        if settings.refine_every and t % settings.refine_every == 0:
+        if settings.refine_every and t % settings.refine_every == 0 and best_x is not polished:
+            polished = best_x
             rx, rv = yield from refine(best_x, bounds, settings.refine_max_steps)
             if rv < best_value:
                 best_value, best_x = rv, rx.copy()
         trace.append(best_value)
         trace_points.append(best_x.copy())
-    rx, rv = yield from refine(best_x, bounds, settings.refine_max_steps)
-    if rv < best_value:
-        best_value, best_x = rv, rx.copy()
+    if best_x is not polished:
+        rx, rv = yield from refine(best_x, bounds, settings.refine_max_steps)
+        if rv < best_value:
+            best_value, best_x = rv, rx.copy()
     trace.append(best_value)
     trace_points.append(best_x.copy())
     return OptimizeResult(best_x, best_value, trace, trace_points)

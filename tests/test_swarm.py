@@ -18,8 +18,10 @@ from incomefit import (
     search,
     step,
 )
+from incomefit import swarm
+from incomefit.fitting import ridge_seed
 from incomefit.objective import stacked_objective
-from incomefit.swarm import _draw_informants
+from incomefit.swarm import OptimizeResult, _draw_informants
 
 BOX = np.array([[0.0, 1.0], [-2.0, 2.0], [10.0, 30.0]])
 
@@ -207,6 +209,20 @@ class TestRefine:
             _, f_end = run(refine(start, bounds, max_steps=15), context_objective(ctx))
             assert f_end <= f_start
 
+    def test_collapsed_probe_pair_outside_drive(self):
+        # the first coordinate's box is too narrow for a nonzero probe step, so
+        # its probe pair collapses to one point and its slope is zero; the polish
+        # runs without drive's floating-point errstate, and warns of nothing
+        polish = refine(np.array([0.0, 0.9]), np.array([[0.0, 1e-320], [0.0, 1.0]]),
+                        max_steps=10)
+        objective = sphere_factory([0.0, 0.3])
+        values = None
+        with pytest.raises(StopIteration) as stop:
+            while True:
+                values = objective(polish.send(values))
+        x, _ = stop.value.value
+        assert x[0] == 0.0 and abs(x[1] - 0.3) < 1e-6
+
     def test_nonfinite_start_returns_input(self):
         def bad(x):
             return np.full(len(x), np.nan)
@@ -245,6 +261,66 @@ class TestOptimize:
         result = run(search(BOX, settings, 37), sphere_factory(target))
         # ten swarm iterations alone cannot hit 1e-10; the final polish can
         assert result.value < 1e-10
+
+
+def search_polishing_every_time(bounds, settings, seed, start=None):
+    """``search``, with every scheduled polish run even from the previous polish's start."""
+    state = yield from initialize(bounds, settings.n_candidates, seed, start)
+    best_x, best_value = state.best_x.copy(), state.best_value
+    trace, trace_points = [best_value], [best_x.copy()]
+    for t in range(1, settings.max_iters + 1):
+        yield from step(state, bounds, settings.max_iters)
+        if state.best_value < best_value:
+            best_value, best_x = state.best_value, state.best_x.copy()
+        if settings.refine_every and t % settings.refine_every == 0:
+            rx, rv = yield from refine(best_x, bounds, settings.refine_max_steps)
+            if rv < best_value:
+                best_value, best_x = rv, rx.copy()
+        trace.append(best_value)
+        trace_points.append(best_x.copy())
+    rx, rv = yield from refine(best_x, bounds, settings.refine_max_steps)
+    if rv < best_value:
+        best_value, best_x = rv, rx.copy()
+    trace.append(best_value)
+    trace_points.append(best_x.copy())
+    return OptimizeResult(best_x, best_value, trace, trace_points)
+
+
+class TestSkippedPolish:
+    """A polish from the start of the search's previous polish is skipped, and changes nothing."""
+
+    CRITERION_8 = FitSettings(k=2000, n_candidates=24, max_iters=80, refine_every=20,
+                              refine_max_steps=40)
+
+    def ridge_seeded_fit(self):
+        sample = sample_incomes(TwoClassParams(0.1, 1800.0, 1.8), 20_000, seed=7002)
+        ctx = FitContext(sample, k=self.CRITERION_8.k)
+        box = self.CRITERION_8.search_box(ctx.mean)
+        return box, self.CRITERION_8, ridge_seed(ctx, box), context_objective(ctx)
+
+    def sphere_fit(self):
+        return (BOX, FitSettings(n_candidates=10, max_iters=40, refine_every=5), None,
+                sphere_factory([0.61, -0.37, 17.3]))
+
+    @pytest.mark.parametrize("fit", ["ridge_seeded_fit", "sphere_fit"])
+    def test_same_result_as_polishing_every_time(self, fit, monkeypatch):
+        bounds, settings, start, objective = getattr(self, fit)()
+        starts = []
+
+        def recording_refine(point, bounds, max_steps):
+            starts.append(np.array(point))
+            return refine(point, bounds, max_steps)
+
+        monkeypatch.setattr(swarm, "refine", recording_refine)
+        skipping = run(search(bounds, settings, 5, start), objective)
+        every = run(search_polishing_every_time(bounds, settings, 5, start), objective)
+        assert skipping.x.tobytes() == every.x.tobytes()
+        assert skipping.value == every.value
+        assert np.array(skipping.trace).tobytes() == np.array(every.trace).tobytes()
+        assert (np.array(skipping.trace_points).tobytes()
+                == np.array(every.trace_points).tobytes())
+        assert not any(np.array_equal(a, b) for a, b in zip(starts, starts[1:]))
+        assert len(starts) < settings.max_iters // settings.refine_every + 1
 
 
 class TestConfig:
