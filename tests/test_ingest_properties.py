@@ -6,12 +6,15 @@ verbatim with its csv-error helper. Both read generated CSVs with blank
 lines, short and long rows, quoted fields holding commas and newlines,
 padded numbers, non-finite and junk incomes, and lines the csv parser
 rejects, with no filter, one filter column or two, each with and without
-a stratify column.
+a stratify column. Clean files go through the numpy reader and are held
+to the same oracle; with every income sent to ``float()``, as where long
+double is not the x87 format, that reader must give its own results again.
 """
 
 import csv
 import io
 import math
+import platform
 from contextlib import contextmanager
 
 import numpy as np
@@ -98,7 +101,10 @@ def outcome(read, spec):
 
 INCOMES = ["1", "2.5", "1200.75", " 3 ", "\t40\t", "7e2", "+5", "1_000", "-0", "0",
            "-12", "nan", "NaN", "inf", "-inf", "1e400", "1e-400", "", "  ", "abc",
-           "1,5", "2\n3", '4"5']
+           "1,5", "2\n3", '4"5',
+           # forms at the edge of the numpy decimal parse
+           "5.", ".5", ".", "1.2.3", "007", " 5", "5 ", "1_0", "1e5", "9007199254740993",
+           "1234567890123456789", "12345678901234567890"]
 LABELS = ["woman", "man", "", " woman", "x", "a,b", "c\nd", 'q"t']
 junk = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
 incomes = st.one_of(st.sampled_from(INCOMES), junk,
@@ -256,3 +262,30 @@ def test_quoted_file_is_read_by_the_csv_module(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline.csv, "reader", counted)
     assert outcome(ingest, spec) == expected
     assert len(readers) == 1
+
+
+# draws written as repr, like the benchmark's inputs: most parse in numpy
+DRAWS = "income\n" + "".join(f"{x!r}\n" for x in np.random.default_rng(5).exponential(
+    1500.0, 3000).tolist())
+
+
+@settings(deadline=None, max_examples=300)
+@given(text=clean_csv_files())
+@example(text=CLEAN)
+@example(text=DRAWS)
+def test_float_fallback_gives_the_numpy_results(csv_path, text):
+    """Where long double is not the 64-bit x87 format every income goes to float(): same results."""
+    csv_path.write_text(text, encoding="utf-8", newline="")
+    specs = [DatasetSpec(str(csv_path), "income", filters, stratify)
+             for filters in ({}, {"sex": "woman"}) for stratify in (None, "color")]
+    fast = [outcome(ingest, spec) for spec in specs]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "_LONG_DOUBLE_EXACT", False)
+        assert [outcome(ingest, spec) for spec in specs] == fast
+
+
+def test_long_double_check_passes_on_x86_64():
+    """The numpy decimal parse runs where CI runs: on x86-64 its self-check must pass."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("long double is not the x87 format on this machine")
+    assert pipeline._LONG_DOUBLE_EXACT
