@@ -161,10 +161,7 @@ def step(state: SwarmState, bounds: np.ndarray,
     """One swarm iteration; updates the state in place and returns it."""
     lo, hi = bounds[:, 0], bounds[:, 1]
     n, d = state.positions.shape
-    if max_iters > 1:
-        frac = min(state.t, max_iters - 1) / (max_iters - 1)
-    else:
-        frac = 0.0
+    frac = min(state.t, max_iters - 1) / max(max_iters - 1, 1)
     w = W_START + (W_END - W_START) * frac
 
     nbest = _neighborhood_best(state.informants, state.pbest_positions,
@@ -300,22 +297,20 @@ def search(bounds: np.ndarray, settings, seed: int | np.random.SeedSequence,
     # polish started from, that polish found nothing better; the polish draws no
     # random numbers, so a rerun would return the same point and is skipped
     polished = None
-    for t in range(1, settings.max_iters + 1):
-        yield from step(state, bounds, settings.max_iters)
+    # the last turn takes no swarm step and always polishes: the final polish
+    for t in range(1, settings.max_iters + 2):
+        final = t > settings.max_iters
+        if not final:
+            yield from step(state, bounds, settings.max_iters)
         if state.best_value < best_value:
             best_value = state.best_value
             best_x = state.best_x.copy()
-        if settings.refine_every and t % settings.refine_every == 0 and best_x is not polished:
+        scheduled = final or (settings.refine_every and t % settings.refine_every == 0)
+        if scheduled and best_x is not polished:
             polished = best_x
             rx, rv = yield from refine(best_x, bounds, settings.refine_max_steps)
             if rv < best_value:
                 best_value, best_x = rv, rx.copy()
         trace.append(best_value)
         trace_points.append(best_x.copy())
-    if best_x is not polished:
-        rx, rv = yield from refine(best_x, bounds, settings.refine_max_steps)
-        if rv < best_value:
-            best_value, best_x = rv, rx.copy()
-    trace.append(best_value)
-    trace_points.append(best_x.copy())
     return OptimizeResult(best_x, best_value, trace, trace_points)
