@@ -1,12 +1,11 @@
 """Particle swarm optimizer with bounded quasi-Newton refinement.
 
-Standard 2007-style swarm: every candidate informs itself plus K
-randomly chosen candidates, velocities blend inertia with pulls toward
-the personal best and the best informant, and all informant sets are
-redrawn whenever an iteration fails to improve the best solution found
-so far. Positions leaving the search box are clamped to the face with
-that velocity component zeroed. Inertia falls linearly between its
-endpoints over the iteration budget.
+Each step, every candidate draws K informants afresh, with replacement,
+and velocities blend inertia with pulls toward its personal best and the
+best personal best among itself and its informants. Positions leaving
+the search box are clamped to the face with that velocity component
+zeroed. Inertia falls linearly between its endpoints over the iteration
+budget.
 
 The hybrid layer periodically polishes the incumbent best with bounded
 BFGS steps in box-scaled coordinates, driven by central finite-difference
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-K_INFORMANTS = 3                        # random informant sets each candidate joins
+K_INFORMANTS = 3                        # informants each candidate draws every step
 C1 = C2 = 1.7                           # pulls toward personal and informant bests
 W_START, W_END = 0.7, 0.4               # inertia at the first and last iteration
 
@@ -55,29 +54,11 @@ class SwarmState:
     velocities: np.ndarray
     pbest_positions: np.ndarray
     pbest_values: np.ndarray
-    informants: np.ndarray              # (n, n) bool, [j, i]: j informs i
     best_x: np.ndarray                  # best candidate visit so far
     best_value: float
     t: int
     rng: np.random.Generator
-    informant_redraws: int = 0
-
-
-def _draw_informants(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """Membership matrix: each candidate joins k random sets plus its own."""
-    informs = np.zeros((n, n), dtype=bool)
-    targets = rng.integers(0, n, size=(n, k))
-    informs[np.repeat(np.arange(n), k), targets.ravel()] = True
-    np.fill_diagonal(informs, True)
-    return informs
-
-
-def _neighborhood_best(informants: np.ndarray, pbest_positions: np.ndarray,
-                       pbest_values: np.ndarray) -> np.ndarray:
-    """Best personal best among each candidate's informants."""
-    masked = np.where(informants, pbest_values[:, None], np.inf)
-    idx = np.argmin(masked, axis=0)
-    return pbest_positions[idx]
+    informant_redraws: int = 0          # informant draws, one per step, so equal to t
 
 
 @dataclass(eq=False)
@@ -137,7 +118,6 @@ def initialize(bounds: np.ndarray, n: int, seed: int | np.random.SeedSequence,
     d = bounds.shape[0]
     positions = lo + (hi - lo) * rng.random((n, d))
     second = lo + (hi - lo) * rng.random((n, d))
-    informants = _draw_informants(rng, n, K_INFORMANTS)
     if start is not None:
         positions[0] = start
     velocities = (second - positions) / 2.0
@@ -148,7 +128,6 @@ def initialize(bounds: np.ndarray, n: int, seed: int | np.random.SeedSequence,
         velocities=velocities,
         pbest_positions=positions.copy(),
         pbest_values=values,
-        informants=informants,
         best_x=positions[best_idx].copy(),
         best_value=float(values[best_idx]),
         t=0,
@@ -164,8 +143,11 @@ def step(state: SwarmState, bounds: np.ndarray,
     frac = min(state.t, max_iters - 1) / max(max_iters - 1, 1)
     w = W_START + (W_END - W_START) * frac
 
-    nbest = _neighborhood_best(state.informants, state.pbest_positions,
-                               state.pbest_values)
+    # each candidate reads itself, then K candidates drawn with replacement;
+    # the first of equal bests wins, so a tie keeps its own
+    informants = np.c_[np.arange(n), state.rng.integers(0, n, (n, K_INFORMANTS))]
+    first_best = np.argmin(state.pbest_values[informants], axis=1)
+    nbest = state.pbest_positions[informants[np.arange(n), first_best]]
     lam1 = state.rng.random((n, d))
     lam2 = state.rng.random((n, d))
     state.velocities = (w * state.velocities
@@ -185,9 +167,7 @@ def step(state: SwarmState, bounds: np.ndarray,
     if state.pbest_values[best_idx] < state.best_value:
         state.best_value = float(state.pbest_values[best_idx])
         state.best_x = state.pbest_positions[best_idx].copy()
-    else:
-        state.informants = _draw_informants(state.rng, n, K_INFORMANTS)
-        state.informant_redraws += 1
+    state.informant_redraws += 1
     state.t += 1
     return state
 

@@ -1,8 +1,10 @@
-"""Swarm dynamics, informant topology, quasi-Newton refinement, hybrid run.
+"""Swarm dynamics, informant draws, quasi-Newton refinement, hybrid run.
 
 Objectives map an (n, d) array of points to n values. Each stage or
 search is a generator, run to its end on one objective by ``run``.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from incomefit import (
 from incomefit import swarm
 from incomefit.fitting import ridge_seed
 from incomefit.objective import stacked_objective
-from incomefit.swarm import OptimizeResult, _draw_informants
+from incomefit.swarm import C2, K_INFORMANTS, OptimizeResult
 
 BOX = np.array([[0.0, 1.0], [-2.0, 2.0], [10.0, 30.0]])
 
@@ -62,7 +64,6 @@ class TestInitialize:
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.velocities, b.velocities)
         assert np.array_equal(a.pbest_values, b.pbest_values)
-        assert np.array_equal(a.informants, b.informants)
 
     def test_velocity_is_half_difference_of_uniform_draws(self):
         # reproduce the draw stream: positions then a second uniform block
@@ -78,31 +79,33 @@ class TestInitialize:
         state = run(initialize(BOX, 9, 11), sphere_factory([0.2, 1.0, 15.0]))
         assert np.array_equal(state.pbest_positions, state.positions)
 
-    def test_informant_set_size_matches_direct_simulation(self):
-        # oracle: simulate the membership process independently
-        n, k = 40, 3
-        rng = np.random.default_rng(42)
-        sizes_oracle = []
-        for _ in range(3000):
-            members = [{i} for i in range(n)]
-            for j in range(n):
-                for target in rng.integers(0, n, k):
-                    members[target].add(j)
-            sizes_oracle.extend(len(m) for m in members)
-        rng2 = np.random.default_rng(7)
-        sizes_impl = []
-        for _ in range(3000):
-            informs = _draw_informants(rng2, n, k)
-            sizes_impl.extend(informs.sum(axis=0).tolist())
-        assert np.mean(sizes_impl) == pytest.approx(np.mean(sizes_oracle), abs=0.05)
-        # closed form: 1 + (n-1) * (1 - (1-1/n)^k)
-        expected = 1 + (n - 1) * (1 - (1 - 1 / n) ** k)
-        assert np.mean(sizes_impl) == pytest.approx(expected, abs=0.05)
-
-    def test_self_always_informs(self):
-        rng = np.random.default_rng(1)
-        informs = _draw_informants(rng, 25, 3)
-        assert np.all(np.diag(informs))
+    def test_social_target_is_first_best_of_self_and_drawn_informants(self):
+        # replay the step's draws from a copy of its generator; from rest at its own
+        # personal best, in a box too wide to clamp, a candidate's velocity is
+        # C2 * lam2 * (social target - position), with exact zeros elsewhere
+        n, d = 40, BOX.shape[0]
+        wide = BOX + np.array([-100.0, 100.0])
+        objective = sphere_factory([0.5, 0.0, 20.0])
+        ties = 0
+        for seed in range(20):
+            state = run(initialize(BOX, n, seed), objective)
+            state.velocities[:] = 0.0
+            # few distinct values, so that many candidates meet equal bests
+            state.pbest_values = np.random.default_rng(seed).integers(0, 3, n).astype(float)
+            replay = copy.deepcopy(state.rng)
+            drawn = replay.integers(0, n, (n, K_INFORMANTS))
+            replay.random((n, d))
+            lam2 = replay.random((n, d))
+            positions = state.positions.copy()
+            values = state.pbest_values.copy()
+            run(step(state, wide, 10), objective)
+            for i in range(n):
+                read = [i, *drawn[i].tolist()]
+                target = min(read, key=lambda j: values[j])     # min keeps the first
+                ties += len({j for j in read if values[j] == values[target]}) > 1
+                expected = C2 * lam2[i] * (positions[target] - positions[i])
+                assert np.array_equal(state.velocities[i], expected)
+        assert ties > 100
 
 
 class TestStep:
@@ -116,9 +119,6 @@ class TestStep:
         # make candidate 0 the best everywhere so nbest == pbest == position
         state.pbest_values[:] = 1.0
         state.pbest_values[0] = 0.0
-        state.informants[:] = False
-        np.fill_diagonal(state.informants, True)
-        state.informants[0, :] = True  # candidate 0 informs everyone
         before = state.positions[0].copy()
         run(step(state, BOX, 10), objective)
         assert np.array_equal(state.positions[0], before)
@@ -168,19 +168,14 @@ class TestStep:
         for i in range(n):
             assert state.pbest_values[i] == min(visits[i])
 
-    def test_informants_redraw_iff_no_improvement(self):
+    def test_one_informant_draw_per_step(self):
         max_iters = 60
         objective = sphere_factory([0.5, 0.0, 20.0])
         state = run(initialize(BOX, 8, 17), objective)
-        redraws = 0
-        for _ in range(max_iters):
-            best_before = state.best_value
-            count_before = state.informant_redraws
+        assert state.informant_redraws == 0
+        for t in range(1, max_iters + 1):
             run(step(state, BOX, max_iters), objective)
-            improved = state.best_value < best_before
-            assert state.informant_redraws == count_before + (0 if improved else 1)
-            redraws = state.informant_redraws
-        assert redraws > 0  # late iterations stall and must trigger redraws
+            assert state.informant_redraws == state.t == t
 
 
 class TestRefine:
