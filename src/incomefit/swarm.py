@@ -145,7 +145,7 @@ def step(state: SwarmState, bounds: np.ndarray,
 
     # each candidate reads itself, then K candidates drawn with replacement;
     # the first of equal bests wins, so a tie keeps its own
-    informants = np.c_[np.arange(n), state.rng.integers(0, n, (n, K_INFORMANTS))]
+    informants = np.column_stack((np.arange(n), state.rng.integers(0, n, (n, K_INFORMANTS))))
     first_best = np.argmin(state.pbest_values[informants], axis=1)
     nbest = state.pbest_positions[informants[np.arange(n), first_best]]
     lam1 = state.rng.random((n, d))
@@ -277,7 +277,7 @@ def search(bounds: np.ndarray, settings, seed: int | np.random.SeedSequence,
     # polish started from, that polish found nothing better; the polish draws no
     # random numbers, so a rerun would return the same point and is skipped
     polished = None
-    # the last turn takes no swarm step and always polishes: the final polish
+    # the last turn takes no swarm step, and its polish is the final one
     for t in range(1, settings.max_iters + 2):
         final = t > settings.max_iters
         if not final:
